@@ -15,7 +15,7 @@ from .mappings import (AveragedFamily, GradientFamily, Halfspace,
                        make_averaged, make_gradient_family,
                        make_projection_family, project_halfspace)
 from .schedules import (BatchSchedule, ConditionScan, StepSchedule,
-                        ValidationReport, batch_at, step_at, validate)
+                        ValidationReport, validate)
 from .sampling import BatchDraw, apply_mini_batch, iteration_rng, sample_batch
 from .solvers import (METHODS, STOCHASTIC_METHODS, SolverConfig, halpern_step,
                       km_step, run)
@@ -39,7 +39,7 @@ __all__ = [
     "NonexpansivityError",
     "make_projection_family", "make_gradient_family", "make_averaged",
     "StepSchedule", "BatchSchedule", "ValidationReport", "ConditionScan",
-    "step_at", "batch_at", "validate",
+    "validate",
     "BatchDraw", "sample_batch", "apply_mini_batch", "iteration_rng",
     "METHODS", "STOCHASTIC_METHODS", "SolverConfig",
     "halpern_step", "km_step", "run",

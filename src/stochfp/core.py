@@ -182,23 +182,26 @@ class OracleInfo:
     data: tuple
 
 
-@dataclass
+@dataclass(frozen=True)
 class Problem:
     """A fixed-point problem instance: family, anchor point, optional oracle data.
 
     ``x0`` doubles as the initial iterate and the anchor of the anchored
     iterations; the target point is the projection of ``x0`` onto the fixed
-    point set of the family mean.
+    point set of the family mean.  The problem is frozen and ``x0`` is a
+    read-only copy, so the memoized oracle result cannot go stale.
     """
 
     family: MappingFamily
     x0: np.ndarray
     oracle_info: OracleInfo | None = None
     name: str = "problem"
-    _oracle_cache: object = field(default=None, repr=False, compare=False)
+    _oracle_cache: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.x0 = as_point(self.x0, dim=self.family.dim, name="x0")
+        x0 = as_point(self.x0, dim=self.family.dim, name="x0").copy()
+        x0.flags.writeable = False
+        object.__setattr__(self, "x0", x0)
 
 
 @dataclass

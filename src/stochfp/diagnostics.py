@@ -11,8 +11,6 @@ checked.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace as dc_replace
 from typing import Sequence
 
@@ -38,9 +36,6 @@ __all__ = [
     "fit_rate",
     "predicted_rate_exponent",
 ]
-
-THREAD_ENV_VAR = "STOCHFP_THREADS"
-
 
 @dataclass(frozen=True)
 class OracleResult:
@@ -153,7 +148,7 @@ def resolve_oracle(problem: Problem, cache: bool = True) -> OracleResult:
     else:
         raise ValueError(f"unknown oracle kind {info.kind!r}")
     if cache:
-        problem._oracle_cache = result
+        object.__setattr__(problem, "_oracle_cache", result)  # Problem is frozen
     return result
 
 
@@ -256,56 +251,28 @@ def averaged_rate_bound(constants: TheoremConstants, step: StepSchedule,
     )
 
 
-def _n_jobs_from_env() -> int:
-    raw = os.environ.get(THREAD_ENV_VAR, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _mean_se(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column mean and unbiased standard error of a ``(trials, L)`` stack.
 
-
-class _Welford:
-    """Streaming per-index mean and unbiased standard error.
-
-    Uses the classic update ``M2 += delta * (x - new_mean)``, which keeps the
-    variance exactly zero when every trial contributes identical values
-    (deterministic methods must report SE columns that are exactly 0).
+    Deviations are taken from trial 0, so identical trials (deterministic
+    methods) give a standard error of exactly 0.
     """
-
-    def __init__(self, length: int):
-        self.count = 0
-        self._mean = np.zeros(length)
-        self._m2 = np.zeros(length)
-
-    def add(self, values: np.ndarray) -> None:
-        self.count += 1
-        delta = values - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (values - self._mean)
-
-    def mean(self) -> np.ndarray:
-        return self._mean.copy()
-
-    def se(self) -> np.ndarray:
-        var = self._m2 / (self.count - 1)
-        return np.sqrt(np.maximum(var, 0.0) / self.count)
+    dev = rows - rows[0]
+    shift = dev.mean(axis=0)
+    var = ((dev - shift) ** 2).sum(axis=0) / (rows.shape[0] - 1)
+    return rows[0] + shift, np.sqrt(var / rows.shape[0])
 
 
-def ensemble(problem: Problem, cfg: SolverConfig, trials: int,
-             n_jobs: int | None = None) -> EnsembleStats:
+def ensemble(problem: Problem, cfg: SolverConfig, trials: int) -> EnsembleStats:
     """Aggregate ``trials`` independent seeded runs of one configuration.
 
     Per-trial seeds are 64-bit integers derived from the master seed
-    ``cfg.seed``, so the ensemble is fully reproducible; trials may execute
-    on a thread pool (``n_jobs`` or the ``STOCHFP_THREADS`` environment
-    variable) but are always aggregated in trial order, keeping the output
-    independent of the thread count.  A diverged trial aborts the whole
+    ``cfg.seed``; trial ``i`` depends only on its own seed, which is the same
+    for every ``trials >= i + 1``.  A diverged trial aborts the whole
     ensemble with the offending seed in the error.
     """
     if trials < 2:
         raise ValueError("ensembles need at least two trials")
-    if n_jobs is None:
-        n_jobs = _n_jobs_from_env()
 
     x_star = None
     f0_star = 0.0
@@ -315,44 +282,30 @@ def ensemble(problem: Problem, cfg: SolverConfig, trials: int,
         f0_star = f0_value(x_star, problem.x0)
 
     trial_seeds = np.random.SeedSequence(cfg.seed).generate_state(trials, np.uint64)
-    configs = [dc_replace(cfg, seed=int(s)) for s in trial_seeds]
+    records = [run(problem, dc_replace(cfg, seed=int(s))) for s in trial_seeds]
 
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            records = list(pool.map(lambda c: run(problem, c), configs))
-    else:
-        records = [run(problem, c) for c in configs]
+    def stat(field):
+        if getattr(records[0], field) is None:
+            return None, None
+        return _mean_se(np.stack([getattr(r, field) for r in records]))
 
-    ks = records[0].ks
-    length = ks.size
-    res_acc = _Welford(length)
-    f0_acc = _Welford(length)
-    dist_acc = _Welford(length) if x_star is not None else None
-    batch_acc = _Welford(length) if x_star is not None else None
-    step_acc = _Welford(length)
-    for rec in records:
-        if not np.array_equal(rec.ks, ks):
-            raise RuntimeError("trials recorded different iteration grids")
-        res_acc.add(rec.residuals)
-        f0_acc.add(rec.f0_values)
-        step_acc.add(rec.step_norms)
-        if dist_acc is not None:
-            dist_acc.add(rec.dist_sq)
-            batch_acc.add(rec.batch_dist_sq)
-
+    residual_mean, residual_se = stat("residuals")
+    f0_mean, f0_se = stat("f0_values")
+    msq_dist_mean, msq_dist_se = stat("dist_sq")
+    batch_msq_mean, batch_msq_se = stat("batch_dist_sq")
     return EnsembleStats(
-        ks=ks,
+        ks=records[0].ks,
         alphas=records[0].alphas,
         batch_sizes=records[0].batch_sizes,
-        residual_mean=res_acc.mean(),
-        residual_se=res_acc.se(),
-        f0gap_mean=f0_acc.mean() - f0_star,
-        f0gap_se=f0_acc.se(),
-        msq_dist_mean=dist_acc.mean() if dist_acc is not None else None,
-        msq_dist_se=dist_acc.se() if dist_acc is not None else None,
-        batch_msq_mean=batch_acc.mean() if batch_acc is not None else None,
-        batch_msq_se=batch_acc.se() if batch_acc is not None else None,
-        step_norm_mean=step_acc.mean(),
+        residual_mean=residual_mean,
+        residual_se=residual_se,
+        f0gap_mean=f0_mean - f0_star,
+        f0gap_se=f0_se,
+        msq_dist_mean=msq_dist_mean,
+        msq_dist_se=msq_dist_se,
+        batch_msq_mean=batch_msq_mean,
+        batch_msq_se=batch_msq_se,
+        step_norm_mean=stat("step_norms")[0],
         trial_count=trials,
         f0_star=f0_star,
         x_star=x_star,

@@ -27,8 +27,6 @@ __all__ = [
     "BatchSchedule",
     "ConditionScan",
     "ValidationReport",
-    "step_at",
-    "batch_at",
     "validate",
     "poly_step_sum_lower_bound",
     "lambda_poly_sq_sum_bound",
@@ -88,6 +86,7 @@ class StepSchedule:
         return cls(kind="constant", c=c)
 
     def at(self, k: int) -> float:
+        """Step size at iteration ``k``; always in (0, 1]."""
         if k < 0:
             raise ValueError("iteration index must be >= 0")
         if self.kind == "poly":
@@ -98,13 +97,12 @@ class StepSchedule:
         return self.c
 
     def values(self, horizon: int) -> np.ndarray:
-        ks = np.arange(horizon, dtype=float)
-        if self.kind == "poly":
-            return (ks + 1.0) ** (-self.a)
-        if self.kind == "lambda_poly":
-            scale = (2.0 * self.lam - 1.0) / (2.0 * (1.0 - self.lam))
-            return scale * (ks + 1.0) ** (-self.a)
-        return np.full(horizon, self.c)
+        """``at(k)`` for ``k < horizon``.
+
+        Evaluated through :meth:`at` rather than an array power, whose
+        vectorised ``pow`` can differ from the scalar one in the last bit.
+        """
+        return np.array([self.at(k) for k in range(horizon)], dtype=float)
 
     @property
     def max_value(self) -> float:
@@ -239,6 +237,10 @@ class BatchSchedule:
         """Emitted sizes as floats (inf when an uncapped schedule overflows)."""
         return np.array([self._emitted(k) for k in range(horizon)])
 
+    def values(self, horizon: int) -> np.ndarray:
+        """``at(k)`` for ``k < horizon`` as int64, saturated at 2^62 likewise."""
+        return np.minimum(self.values_float(horizon), float(_HUGE_BATCH)).astype(np.int64)
+
     @property
     def increasing_kind(self) -> bool:
         return self.kind in ("polynomial", "exponential")
@@ -271,16 +273,6 @@ class BatchSchedule:
         if self.cap is not None:
             s += f" cap={self.cap}"
         return s
-
-
-def step_at(schedule: StepSchedule, k: int) -> float:
-    """Step size at iteration ``k``; always in (0, 1]."""
-    return schedule.at(k)
-
-
-def batch_at(schedule: BatchSchedule, k: int) -> int:
-    """Batch size at iteration ``k``; integer >= 1, capped when a cap is set."""
-    return schedule.at(k)
 
 
 def poly_step_sum_lower_bound(a: float, horizon: int) -> float:

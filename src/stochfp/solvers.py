@@ -32,8 +32,6 @@ __all__ = ["METHODS", "STOCHASTIC_METHODS", "SolverConfig",
 METHODS = ("km", "halpern", "stoch_km", "stoch_halpern", "stoch_halpern_lambda")
 STOCHASTIC_METHODS = ("stoch_km", "stoch_halpern", "stoch_halpern_lambda")
 
-_MAX_SAMPLABLE_BATCH = 2**62
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -141,36 +139,40 @@ def _iterate(problem: Problem, cfg: SolverConfig, x_star: np.ndarray | None,
     stochastic = cfg.stochastic
     pvals = np.full(n, 1.0 / n)
     seed = int(cfg.seed)
+    iterations, stride = cfg.iterations, cfg.record_every
 
-    ks, alphas, batches = [], [], []
-    residuals, f0s, dists, batch_dists, step_norms = [], [], [], [], []
-
-    def record_state(k, x, t_exact):
-        ks.append(k)
-        alphas.append(cfg.step.at(k))
-        batches.append(cfg.batch.at(k) if stochastic else n)
-        d = x - t_exact
-        residuals.append(float(np.sqrt(d @ d)))
-        e = x - x0
-        f0s.append(0.5 * float(e @ e))
-        if x_star is not None:
-            g = x - x_star
-            dists.append(float(g @ g))
+    # schedules once per run; the extra entry is the final row's value
+    alphas = cfg.step.values(iterations + 1)
+    batches = (cfg.batch.values(iterations + 1) if stochastic
+               else np.full(iterations + 1, n, dtype=np.int64))
+    alpha_list, batch_list = alphas.tolist(), batches.tolist()
+    ks = np.append(np.arange(0, iterations, stride), iterations)
+    rows = ks.size
+    residuals = np.empty(rows)
+    f0s = np.empty(rows)
+    dists = np.empty(rows) if x_star is not None else None
+    batch_dists = np.full(rows, np.nan) if x_star is not None else None
+    step_norms = np.full(rows, np.nan)  # NaN stays on the final row: no step taken
 
     x = x0.copy()
-    for k in range(cfg.iterations):
+    row = 0
+    for k in range(iterations + 1):
         values = family.eval_all(x)
         t_exact = values.sum(axis=0) / n
-        rec = (k % cfg.record_every == 0)
+        rec = k % stride == 0 or k == iterations
         if rec:
-            record_state(k, x, t_exact)
+            d = x - t_exact
+            residuals[row] = np.sqrt(d @ d)
+            e = x - x0
+            f0s[row] = 0.5 * (e @ e)
+            if x_star is not None:
+                g = x - x_star
+                dists[row] = g @ g
+        if k == iterations:
+            break
 
         if stochastic:
-            b = cfg.batch.at(k)
-            if b > _MAX_SAMPLABLE_BATCH:
-                raise ValueError(
-                    f"batch size {b} at k={k} is unsamplable; set a batch cap"
-                )
+            b = batch_list[k]
             counts = iteration_rng(seed, k).multinomial(b, pvals)
             t_val = (counts / b) @ values
         else:
@@ -178,11 +180,10 @@ def _iterate(problem: Problem, cfg: SolverConfig, x_star: np.ndarray | None,
         if lam is not None:
             t_val = lam * x + (1.0 - lam) * t_val
 
-        alpha = cfg.step.at(k)
         if anchored:
-            x_next = halpern_step(x0, t_val, alpha)
+            x_next = halpern_step(x0, t_val, alpha_list[k])
         else:
-            x_next = km_step(x, t_val, alpha)
+            x_next = km_step(x, t_val, alpha_list[k])
         if not np.all(np.isfinite(x_next)):
             raise DivergenceError(
                 f"non-finite iterate at k={k + 1} (seed {seed})", seed=seed, step=k + 1
@@ -190,28 +191,21 @@ def _iterate(problem: Problem, cfg: SolverConfig, x_star: np.ndarray | None,
         if rec:
             if x_star is not None:
                 g = t_val - x_star
-                batch_dists.append(float(g @ g))
+                batch_dists[row] = g @ g
             d = x_next - x
-            step_norms.append(float(np.sqrt(d @ d)))
+            step_norms[row] = np.sqrt(d @ d)
+            row += 1
         x = x_next
 
-    # final iterate row: no step taken beyond it
-    values = family.eval_all(x)
-    t_exact = values.sum(axis=0) / n
-    record_state(cfg.iterations, x, t_exact)
-    if x_star is not None:
-        batch_dists.append(np.nan)
-    step_norms.append(np.nan)
-
     return RunRecord(
-        ks=np.array(ks, dtype=np.int64),
-        alphas=np.array(alphas),
-        batch_sizes=np.array(batches, dtype=np.int64),
-        residuals=np.array(residuals),
-        f0_values=np.array(f0s),
-        dist_sq=np.array(dists) if x_star is not None else None,
-        batch_dist_sq=np.array(batch_dists) if x_star is not None else None,
-        step_norms=np.array(step_norms),
+        ks=ks,
+        alphas=alphas[ks],
+        batch_sizes=batches[ks],
+        residuals=residuals,
+        f0_values=f0s,
+        dist_sq=dists,
+        batch_dist_sq=batch_dists,
+        step_norms=step_norms,
         final_point=x,
         seed=seed,
         method=cfg.method,

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,24 @@ def test_oracle_agrees_with_grid_on_slanted_instance():
     np.testing.assert_allclose(res.x_star, [0.0, 1.0], atol=1e-9)
     g = grid_project(halfspaces, [2.0, 3.0])
     assert np.linalg.norm(res.x_star - g) <= 1e-3
+
+
+def test_oracle_cache_cannot_go_stale():
+    problem = two_halfspace_problem()
+    np.testing.assert_array_equal(resolve_oracle(problem).x_star, [0.0, 0.0])
+    with pytest.raises(ValueError, match="read-only"):
+        problem.x0[:] = [-1.0, -3.0]
+    with pytest.raises(AttributeError):
+        problem.x0 = np.array([-1.0, -3.0])
+    np.testing.assert_array_equal(resolve_oracle(problem).x_star,
+                                  resolve_oracle(problem, cache=False).x_star)
+    # the caller's array is copied, and a replaced problem starts uncached
+    anchor = np.array([1.0, 0.0])
+    copy = Problem(family=problem.family, x0=anchor, oracle_info=problem.oracle_info)
+    anchor[:] = [-1.0, -3.0]
+    np.testing.assert_array_equal(resolve_oracle(copy).x_star, [0.0, 0.0])
+    moved = replace(problem, x0=np.array([-1.0, -3.0]))
+    np.testing.assert_array_equal(resolve_oracle(moved).x_star, [-1.0, -3.0])
 
 
 def test_oracle_quadratic_exact_fit():
@@ -203,14 +223,20 @@ def test_ensemble_single_component_stochastic_zero_se():
     assert np.all(stats.f0gap_se == 0.0)
 
 
-def test_ensemble_thread_count_does_not_change_results(twohalf_problem):
+def test_ensemble_trials_depend_only_on_their_seed(twohalf_problem):
     cfg = SolverConfig(method="stoch_halpern", step=StepSchedule.poly(0.5),
                        batch=BatchSchedule.exponential(4, 1.05, cap=512),
                        iterations=200, seed=77, record_every=20)
-    a = ensemble(twohalf_problem, cfg, trials=8, n_jobs=1)
-    b = ensemble(twohalf_problem, cfg, trials=8, n_jobs=4)
-    np.testing.assert_array_equal(a.residual_mean, b.residual_mean)
-    np.testing.assert_array_equal(a.msq_dist_mean, b.msq_dist_mean)
+    a = ensemble(twohalf_problem, cfg, trials=5)
+    b = ensemble(twohalf_problem, cfg, trials=8)
+    np.testing.assert_array_equal(a.trial_seeds, b.trial_seeds[:5])
+    for stats in (a, b):
+        runs = [run(twohalf_problem, replace(cfg, seed=int(s)))
+                for s in stats.trial_seeds]
+        for field, mean in (("residuals", stats.residual_mean),
+                            ("dist_sq", stats.msq_dist_mean)):
+            expect = np.mean([getattr(r, field) for r in runs], axis=0)
+            np.testing.assert_allclose(mean, expect, rtol=1e-13, atol=0.0)
 
 
 def test_ensemble_requires_two_trials(twohalf_problem):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stochfp import BatchSchedule, StepSchedule, batch_at, step_at, validate
+from stochfp import BatchSchedule, StepSchedule, validate
 from stochfp.schedules import (batch_inv_sqrt_sum_bound, batch_inv_sum_bound,
                                lambda_poly_sq_sum_bound,
                                poly_step_sum_lower_bound)
@@ -11,13 +11,13 @@ from stochfp.schedules import (batch_inv_sqrt_sum_bound, batch_inv_sum_bound,
 
 def test_poly_step_examples():
     s = StepSchedule.poly(0.5)
-    assert step_at(s, 0) == pytest.approx(1.0)
-    assert step_at(s, 3) == pytest.approx(0.5)
+    assert s.at(0) == pytest.approx(1.0)
+    assert s.at(3) == pytest.approx(0.5)
 
 
 def test_lambda_poly_step_example():
     s = StepSchedule.lambda_poly(0.5, 0.75)
-    assert step_at(s, 0) == pytest.approx(1.0)  # (2l-1)/(2(1-l)) = 1 at l=3/4
+    assert s.at(0) == pytest.approx(1.0)  # (2l-1)/(2(1-l)) = 1 at l=3/4
 
 
 def test_step_parameter_ranges():
@@ -41,30 +41,32 @@ def test_steps_in_unit_interval_and_monotone():
         vals = s.values(500)
         assert np.all(vals > 0) and np.all(vals <= 1.0)
         assert np.all(np.diff(vals) < 0)
+        assert vals.tolist() == [s.at(k) for k in range(500)]  # bit for bit
 
 
 def test_batch_exponential_example():
     b = BatchSchedule.exponential(32, 2.0)
-    assert batch_at(b, 0) == 32
-    assert batch_at(b, 4) == 512
+    assert b.at(0) == 32
+    assert b.at(4) == 512
 
 
 def test_batch_constant_and_polynomial_examples():
-    assert batch_at(BatchSchedule.constant(8), 123) == 8
-    assert batch_at(BatchSchedule.polynomial(1.0, 1.0, 2.0), 3) == 16
+    assert BatchSchedule.constant(8).at(123) == 8
+    assert BatchSchedule.polynomial(1.0, 1.0, 2.0).at(3) == 16
 
 
 def test_batch_floor_and_clamp():
     b = BatchSchedule.polynomial(0.5, 0.25, 1.0)  # raw value 0.25 at k=0
-    assert batch_at(b, 0) == 1
+    assert b.at(0) == 1
     capped = BatchSchedule.exponential(4, 2.0, cap=64)
-    assert [batch_at(capped, k) for k in range(7)] == [4, 8, 16, 32, 64, 64, 64]
+    assert [capped.at(k) for k in range(7)] == [4, 8, 16, 32, 64, 64, 64]
 
 
 def test_batch_overflow_saturates():
     b = BatchSchedule.exponential(2, 10.0)
-    assert batch_at(b, 400) == 2**62  # uncapped overflow sentinel
-    assert batch_at(BatchSchedule.exponential(2, 10.0, cap=1024), 400) == 1024
+    assert b.at(400) == 2**62  # uncapped overflow sentinel
+    assert b.values(401).tolist() == [b.at(k) for k in range(401)]
+    assert BatchSchedule.exponential(2, 10.0, cap=1024).at(400) == 1024
 
 
 def test_batch_monotone_nondecreasing():

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from stochfp import (BatchSchedule, CallableFamily, Halfspace, Problem,
-                     SolverConfig, StepSchedule, halpern_step, km_step,
-                     make_projection_family, run, two_halfspace_problem)
+                     SolverConfig, StepSchedule, ensemble, halpern_step,
+                     km_step, make_projection_family, run,
+                     two_halfspace_problem)
 from stochfp.core import DivergenceError
 from stochfp.solvers import _iterate
 
@@ -159,6 +160,20 @@ def test_divergence_aborts_with_seed():
     with pytest.raises(DivergenceError) as err:
         run(problem, cfg)
     assert err.value.seed == 1234
+
+
+@pytest.mark.filterwarnings("error")
+def test_saturated_batches_are_sampled(twohalf_problem):
+    # floor(4 * 10^k) passes 2^62 at k=19; such batches are drawn as they are
+    cfg = SolverConfig(method="stoch_halpern", step=StepSchedule.poly(0.5),
+                       batch=BatchSchedule.exponential(4, 10.0), iterations=30,
+                       seed=5)
+    rec = run(twohalf_problem, cfg)
+    stats = ensemble(twohalf_problem, cfg, trials=2)
+    for sizes in (rec.batch_sizes, stats.batch_sizes):
+        assert np.all(sizes[:19] < 2**62) and np.all(sizes[19:] == 2**62)
+    assert np.all(np.isfinite(rec.dist_sq))
+    assert np.all(np.isfinite(stats.msq_dist_mean))
 
 
 def test_successive_differences_vanish(lemma_stats):
