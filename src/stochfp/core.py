@@ -80,9 +80,10 @@ class MappingFamily:
     """A finite family of mappings ``T_i: R^d -> R^d`` with exact-mean access.
 
     Subclasses provide :meth:`eval_all`, returning the stacked component
-    values at a point.  Component indices are 1-based in the public API,
-    matching the sampling convention; row ``i`` of :meth:`eval_all` holds
-    ``T_{i+1}(x)``.
+    values at a point, and may override :meth:`weighted_mean`, the one
+    primitive the solvers call, with a stacked form over many points.
+    Component indices are 1-based in the public API, matching the sampling
+    convention; row ``i`` of :meth:`eval_all` holds ``T_{i+1}(x)``.
 
     Parameters
     ----------
@@ -127,23 +128,22 @@ class MappingFamily:
         xa = as_point(x, dim=self._dim)
         return self.eval_all(xa)[i - 1]
 
-    def mean(self, x) -> np.ndarray:
-        """Exact mean ``T(x) = (1/n) sum_i T_i(x)``, summed in index order."""
-        xa = as_point(x, dim=self._dim)
-        return self.eval_all(xa).sum(axis=0) / self._n
+    def weighted_mean(self, X: np.ndarray, W: np.ndarray) -> np.ndarray:
+        """Weighted component sums ``out[t, j] = sum_i W[t, j, i] * T_i(X[t])``.
 
-    def mean_of_counts(self, counts: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Weighted mean ``sum_i (c_i / b) T_i(x)`` with ``b = sum_i c_i``.
-
-        This is the value of a sampled mini-batch mean in which component
-        ``i`` was drawn ``c_i`` times; grouping equal draws first is exact
-        in real arithmetic.  Hot path: skips point validation.
+        ``X`` is a ``(T, d)`` stack of points and ``W`` a ``(T, m, n)`` stack
+        of weight rows; the result is ``(T, m, d)``.  Uniform weights ``1/n``
+        give the exact mean and ``counts / b`` a sampled mini-batch mean, so
+        one call serves both.  Hot path: skips point validation.  This
+        generic version evaluates every component per point; the built-in
+        families override it with stacked array forms.
         """
-        b = counts.sum()
-        if b <= 0:
-            raise ValueError("counts must sum to a positive batch size")
-        w = counts / b
-        return w @ self.eval_all(x)
+        return np.stack([W[t] @ self.eval_all(X[t]) for t in range(X.shape[0])])
+
+    def mean(self, x) -> np.ndarray:
+        """Exact mean ``T(x) = (1/n) sum_i T_i(x)``."""
+        xa = as_point(x, dim=self._dim)
+        return self.weighted_mean(xa[None, :], np.full((1, 1, self._n), 1.0 / self._n))[0, 0]
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"{type(self).__name__}(n={self._n}, dim={self._dim}, kind={self._kind!r})"

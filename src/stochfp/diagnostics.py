@@ -11,7 +11,7 @@ checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from .core import (EnsembleStats, OracleError, Problem, as_point, f0_value)
 from .mappings import Halfspace, QuadraticTerm, make_projection_family
 from .schedules import BatchSchedule, StepSchedule, batch_inv_sum_bound
-from .solvers import SolverConfig, run
+from .solvers import SolverConfig, _run_trials
 
 __all__ = [
     "OracleResult",
@@ -266,37 +266,38 @@ def _mean_se(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def ensemble(problem: Problem, cfg: SolverConfig, trials: int) -> EnsembleStats:
     """Aggregate ``trials`` independent seeded runs of one configuration.
 
-    Per-trial seeds are 64-bit integers derived from the master seed
-    ``cfg.seed``; trial ``i`` depends only on its own seed, which is the same
-    for every ``trials >= i + 1``.  A diverged trial aborts the whole
-    ensemble with the offending seed in the error.
+    Per-trial seeds are the 64-bit words of
+    ``SeedSequence(cfg.seed).generate_state(trials)``, so the seed of trial
+    ``i`` is the same for every ``trials >= i + 1``.  All trials advance
+    together in one ``(trials, d)`` state, each drawing from its own seed's
+    stream; trial ``i``'s draws are therefore identical for every trial
+    count, and its trajectory agrees with a lone :func:`run` on its seed to
+    floating-point rounding.  A non-finite iterate aborts the ensemble with
+    the seed of the first trial that left the finite range, at the earliest
+    such iteration.
     """
     if trials < 2:
         raise ValueError("ensembles need at least two trials")
 
+    trial_seeds = np.random.SeedSequence(cfg.seed).generate_state(trials, np.uint64)
+    trace = _run_trials(problem, cfg, trial_seeds)
     x_star = None
     f0_star = 0.0
     if problem.oracle_info is not None:
-        oracle = resolve_oracle(problem)
-        x_star = oracle.x_star
+        x_star = resolve_oracle(problem).x_star
         f0_star = f0_value(x_star, problem.x0)
 
-    trial_seeds = np.random.SeedSequence(cfg.seed).generate_state(trials, np.uint64)
-    records = [run(problem, dc_replace(cfg, seed=int(s))) for s in trial_seeds]
+    def stat(rows):
+        return (None, None) if rows is None else _mean_se(rows)
 
-    def stat(field):
-        if getattr(records[0], field) is None:
-            return None, None
-        return _mean_se(np.stack([getattr(r, field) for r in records]))
-
-    residual_mean, residual_se = stat("residuals")
-    f0_mean, f0_se = stat("f0_values")
-    msq_dist_mean, msq_dist_se = stat("dist_sq")
-    batch_msq_mean, batch_msq_se = stat("batch_dist_sq")
+    residual_mean, residual_se = stat(trace.residuals)
+    f0_mean, f0_se = stat(trace.f0_values)
+    msq_dist_mean, msq_dist_se = stat(trace.dist_sq)
+    batch_msq_mean, batch_msq_se = stat(trace.batch_dist_sq)
     return EnsembleStats(
-        ks=records[0].ks,
-        alphas=records[0].alphas,
-        batch_sizes=records[0].batch_sizes,
+        ks=trace.ks,
+        alphas=trace.alphas,
+        batch_sizes=trace.batch_sizes,
         residual_mean=residual_mean,
         residual_se=residual_se,
         f0gap_mean=f0_mean - f0_star,
@@ -305,7 +306,7 @@ def ensemble(problem: Problem, cfg: SolverConfig, trials: int) -> EnsembleStats:
         msq_dist_se=msq_dist_se,
         batch_msq_mean=batch_msq_mean,
         batch_msq_se=batch_msq_se,
-        step_norm_mean=stat("step_norms")[0],
+        step_norm_mean=stat(trace.step_norms)[0],
         trial_count=trials,
         f0_star=f0_star,
         x_star=x_star,

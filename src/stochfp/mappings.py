@@ -103,6 +103,12 @@ class ProjectionFamily(MappingFamily):
         coef = np.maximum(viol, 0.0) * self._inv_norm_sq
         return x[None, :] - coef[:, None] * self._A
 
+    def weighted_mean(self, X: np.ndarray, W: np.ndarray) -> np.ndarray:
+        # sum_i w_i (x - c_i a_i) = (sum_i w_i) x - (w * c) @ A, without
+        # forming the (T, n, d) component values
+        coef = np.maximum(X @ self._A.T - self._beta, 0.0) * self._inv_norm_sq
+        return W.sum(axis=-1)[:, :, None] * X[:, None, :] - (W * coef[:, None, :]) @ self._A
+
 
 def make_projection_family(halfspaces: Sequence[Halfspace]) -> ProjectionFamily:
     """Family whose component ``i`` projects onto halfspace ``i``.
@@ -189,9 +195,18 @@ class GradientFamily(MappingFamily):
         # T_i(x) = x - G_i x + h_i
         self._G = self.eta * np.stack([t.A.T @ t.A for t in terms])
         self._h = self.eta * np.stack([t.A.T @ t.b for t in terms])
+        self._G_rows = self._G.reshape(-1, dim)  # row i*d + r holds row r of G_i
 
     def eval_all(self, x: np.ndarray) -> np.ndarray:
         return x[None, :] - np.einsum("nij,j->ni", self._G, x) + self._h
+
+    def weighted_mean(self, X: np.ndarray, W: np.ndarray) -> np.ndarray:
+        # the (T, n, d) component values X - G_i X + h_i, from one matrix
+        # product and built in place (einsum and fresh temporaries cost more)
+        values = (X @ self._G_rows.T).reshape(X.shape[0], self.n, self.dim)
+        np.subtract(X[:, None, :], values, out=values)
+        values += self._h
+        return W @ values
 
 
 def make_gradient_family(terms: Sequence[QuadraticTerm], eta="auto",
@@ -247,6 +262,10 @@ class AveragedFamily(MappingFamily):
 
     def eval_all(self, x: np.ndarray) -> np.ndarray:
         return self.lam * x[None, :] + (1.0 - self.lam) * self.base.eval_all(x)
+
+    def weighted_mean(self, X: np.ndarray, W: np.ndarray) -> np.ndarray:
+        base = self.base.weighted_mean(X, W)
+        return self.lam * W.sum(axis=-1)[:, :, None] * X[:, None, :] + (1.0 - self.lam) * base
 
 
 def make_averaged(base: MappingFamily, lam: float) -> AveragedFamily:

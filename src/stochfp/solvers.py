@@ -14,6 +14,15 @@ The anchored rules keep pulling toward the initial point ``x0`` with weight
 than an arbitrary one.  A run executes exactly ``K`` iterations (no stopping
 rule) and traces residuals against the exact family mean; sampled values
 never enter the recorded metrics.  Runs are deterministic given the seed.
+
+One engine runs every trial: ``T`` trials advance together in a ``(T, d)``
+state and write ``(T, L)`` record arrays.  :func:`run` is its ``T = 1``
+case and :func:`stochfp.diagnostics.ensemble` reduces its rows.  Trial
+``t`` draws iteration ``k``'s batch from its own counter-based stream
+(:mod:`stochfp.sampling`), so its draws do not depend on the other trials.
+The schedules are precomputed arrays, the step-size ranges are checked once
+before the loop, and the whole state is checked for non-finite values after
+every step.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DivergenceError, Problem, RunRecord, as_point
-from .sampling import iteration_rng
+from .sampling import TrialStreams
 from .schedules import BatchSchedule, StepSchedule
 
 __all__ = ["METHODS", "STOCHASTIC_METHODS", "SolverConfig",
@@ -93,6 +102,11 @@ def km_step(x, t_val, alpha: float) -> np.ndarray:
 
 
 def _validate_run(problem: Problem, cfg: SolverConfig) -> None:
+    """Range checks made once per run, so the engine's updates need none.
+
+    Every step schedule emits ``alpha_k in (0, 1]``, the anchored range; the
+    averaged rules also need ``alpha_k < 1``, and the blended rule the cap.
+    """
     as_point(problem.x0, dim=problem.family.dim, name="x0")
     step_max = cfg.step.max_value
     if cfg.method in ("km", "stoch_km") and step_max >= 1.0:
@@ -109,36 +123,77 @@ def _validate_run(problem: Problem, cfg: SolverConfig) -> None:
             )
 
 
+@dataclass
+class _Trace:
+    """Record arrays of ``T`` trials run side by side: ``(T, L)`` per recorded field."""
+
+    ks: np.ndarray
+    alphas: np.ndarray
+    batch_sizes: np.ndarray
+    residuals: np.ndarray
+    f0_values: np.ndarray
+    dist_sq: np.ndarray | None
+    batch_dist_sq: np.ndarray | None
+    step_norms: np.ndarray
+    final_points: np.ndarray
+
+
 def run(problem: Problem, cfg: SolverConfig) -> RunRecord:
     """Execute ``cfg.iterations`` steps of the selected rule on ``problem``.
 
-    Records, at stride ``cfg.record_every`` plus the final iterate: the
-    residual ``||x_k - T(x_k)||`` against the exact family mean, the anchor
-    objective ``(1/2)||x_k - x0||^2``, the squared distance to the oracle
-    point (when the problem carries oracle data), the squared distance of
-    the sampled image to the oracle point, and the step norm
-    ``||x_{k+1} - x_k||``.  Raises :class:`DivergenceError` with the
-    offending seed if an iterate leaves the finite range.
+    The single trial runs on the trial seed ``cfg.seed``; this is the ``T = 1``
+    case of the engine behind :func:`stochfp.diagnostics.ensemble`.  Records,
+    at stride ``cfg.record_every`` plus the final iterate: the residual
+    ``||x_k - T(x_k)||`` against the exact family mean, the anchor objective
+    ``(1/2)||x_k - x0||^2``, the squared distance to the oracle point (when
+    the problem carries oracle data), the squared distance of the sampled
+    image to the oracle point, and the step norm ``||x_{k+1} - x_k||``.
+    Raises :class:`DivergenceError` with the seed and iteration if an
+    iterate leaves the finite range.
     """
+    trace = _run_trials(problem, cfg, [cfg.seed])
+    return RunRecord(
+        ks=trace.ks,
+        alphas=trace.alphas,
+        batch_sizes=trace.batch_sizes,
+        residuals=trace.residuals[0],
+        f0_values=trace.f0_values[0],
+        dist_sq=None if trace.dist_sq is None else trace.dist_sq[0],
+        batch_dist_sq=None if trace.batch_dist_sq is None else trace.batch_dist_sq[0],
+        step_norms=trace.step_norms[0],
+        final_point=trace.final_points[0],
+        seed=int(cfg.seed),
+        method=cfg.method,
+    )
+
+
+def _run_trials(problem: Problem, cfg: SolverConfig, seeds) -> _Trace:
+    """Validate once, resolve the oracle point, and run one trial per seed."""
     _validate_run(problem, cfg)
     x_star = None
     if problem.oracle_info is not None:
         from .diagnostics import resolve_oracle  # deferred: diagnostics imports solvers
 
         x_star = resolve_oracle(problem).x_star
-    return _iterate(problem, cfg, x_star=x_star, lam=cfg.lam)
+    return _iterate(problem, cfg, seeds, x_star=x_star, lam=cfg.lam)
 
 
-def _iterate(problem: Problem, cfg: SolverConfig, x_star: np.ndarray | None,
-             lam: float | None) -> RunRecord:
-    """Inner loop; assumes validated inputs (tests may call with out-of-range lam)."""
+def _iterate(problem: Problem, cfg: SolverConfig, seeds, x_star: np.ndarray | None,
+             lam: float | None) -> _Trace:
+    """The iteration engine: all trials in one ``(T, d)`` state, ``k = 0..K``.
+
+    Trial ``t`` draws its batches from the stream ``seeds[t]``.  Each
+    iteration makes one :meth:`MappingFamily.weighted_mean` call whose weight
+    rows are the uniform ``1/n`` (the exact mean, only on record rows of the
+    stochastic methods) and ``counts / b_k`` (the sampled mean).  Assumes
+    validated inputs; tests may call it with an out-of-range ``lam``.
+    """
     family = problem.family
     x0 = problem.x0
     n = family.n
+    trials = len(seeds)
     anchored = cfg.method in ("halpern", "stoch_halpern", "stoch_halpern_lambda")
     stochastic = cfg.stochastic
-    pvals = np.full(n, 1.0 / n)
-    seed = int(cfg.seed)
     iterations, stride = cfg.iterations, cfg.record_every
 
     # schedules once per run; the extra entry is the final row's value
@@ -147,66 +202,65 @@ def _iterate(problem: Problem, cfg: SolverConfig, x_star: np.ndarray | None,
                else np.full(iterations + 1, n, dtype=np.int64))
     alpha_list, batch_list = alphas.tolist(), batches.tolist()
     ks = np.append(np.arange(0, iterations, stride), iterations)
-    rows = ks.size
-    residuals = np.empty(rows)
-    f0s = np.empty(rows)
-    dists = np.empty(rows) if x_star is not None else None
-    batch_dists = np.full(rows, np.nan) if x_star is not None else None
-    step_norms = np.full(rows, np.nan)  # NaN stays on the final row: no step taken
+    # squared norms per record row: ||x_k - T(x_k)||, ||x_k - x0||, ||x_k - x*||,
+    # ||t_k - x*|| for the sampled image t_k, ||x_{k+1} - x_k||; the last two
+    # stay NaN on the final row, where no step is taken
+    sq = np.full((5, trials, ks.size), np.nan)
+    diffs = np.empty((5, trials, family.dim))
+    # x0 stands in for a missing oracle point; those rows are dropped at the end
+    refs = np.stack([x0, x0 if x_star is None else x_star])[:, None, :]
 
-    x = x0.copy()
+    weights = np.full((trials, 2, n), 1.0 / n)  # rows: exact mean, counts / b_k
+    exact, sampled = weights[:, :1], weights[:, 1:]
+    if stochastic:
+        streams = TrialStreams(seeds, n)
+        counts = np.empty((trials, n), dtype=np.int64)
+
+    x = np.tile(x0, (trials, 1))
     row = 0
     for k in range(iterations + 1):
-        values = family.eval_all(x)
-        t_exact = values.sum(axis=0) / n
         rec = k % stride == 0 or k == iterations
+        if k == iterations or not stochastic:
+            means = family.weighted_mean(x, exact)
+        else:
+            b = batch_list[k]
+            streams.draw(k, b, counts)
+            np.divide(counts, b, out=sampled[:, 0])
+            means = family.weighted_mean(x, weights if rec else sampled)
         if rec:
-            d = x - t_exact
-            residuals[row] = np.sqrt(d @ d)
-            e = x - x0
-            f0s[row] = 0.5 * (e @ e)
-            if x_star is not None:
-                g = x - x_star
-                dists[row] = g @ g
+            np.subtract(x, means[:, 0], out=diffs[0])
+            np.subtract(x, refs, out=diffs[1:3])
         if k == iterations:
+            sq[:3, :, row] = np.einsum("fti,fti->ft", diffs[:3], diffs[:3])
             break
 
-        if stochastic:
-            b = batch_list[k]
-            counts = iteration_rng(seed, k).multinomial(b, pvals)
-            t_val = (counts / b) @ values
-        else:
-            t_val = t_exact
+        t_val = means[:, -1]
         if lam is not None:
             t_val = lam * x + (1.0 - lam) * t_val
-
+        alpha = alpha_list[k]
         if anchored:
-            x_next = halpern_step(x0, t_val, alpha_list[k])
+            x_next = alpha * x0 + (1.0 - alpha) * t_val
         else:
-            x_next = km_step(x, t_val, alpha_list[k])
-        if not np.all(np.isfinite(x_next)):
+            x_next = (1.0 - alpha) * x + alpha * t_val
+        if not np.isfinite(x_next).all():
+            bad = int(np.argmin(np.isfinite(x_next).all(axis=1)))
+            seed = int(seeds[bad])
             raise DivergenceError(
                 f"non-finite iterate at k={k + 1} (seed {seed})", seed=seed, step=k + 1
             )
         if rec:
-            if x_star is not None:
-                g = t_val - x_star
-                batch_dists[row] = g @ g
-            d = x_next - x
-            step_norms[row] = np.sqrt(d @ d)
+            np.subtract(t_val, refs[1], out=diffs[3])
+            np.subtract(x_next, x, out=diffs[4])
+            sq[:, :, row] = np.einsum("fti,fti->ft", diffs, diffs)
             row += 1
         x = x_next
 
-    return RunRecord(
-        ks=ks,
-        alphas=alphas[ks],
-        batch_sizes=batches[ks],
-        residuals=residuals,
-        f0_values=f0s,
-        dist_sq=dists,
-        batch_dist_sq=batch_dists,
-        step_norms=step_norms,
-        final_point=x,
-        seed=seed,
-        method=cfg.method,
-    )
+    residuals, f0s, dists, batch_dists, step_norms = sq
+    np.sqrt(residuals, out=residuals)
+    f0s *= 0.5
+    np.sqrt(step_norms, out=step_norms)
+    if x_star is None:
+        dists = batch_dists = None
+    return _Trace(ks=ks, alphas=alphas[ks], batch_sizes=batches[ks],
+                  residuals=residuals, f0_values=f0s, dist_sq=dists,
+                  batch_dist_sq=batch_dists, step_norms=step_norms, final_points=x)

@@ -9,7 +9,9 @@ from stochfp import (BatchSchedule, EnsembleStats, Halfspace, OracleError,
                      make_projection_family, oracle_feasibility,
                      oracle_quadratic, predicted_rate_exponent, resolve_oracle,
                      run, sample_ball, theorem_constants, two_halfspace_problem)
-from stochfp import CallableFamily
+from stochfp import CallableFamily, random_quadratic_problem
+from stochfp.sampling import TrialStreams
+from stochfp.solvers import _run_trials
 from grid_oracle import grid_project
 
 
@@ -237,6 +239,30 @@ def test_ensemble_trials_depend_only_on_their_seed(twohalf_problem):
                             ("dist_sq", stats.msq_dist_mean)):
             expect = np.mean([getattr(r, field) for r in runs], axis=0)
             np.testing.assert_allclose(mean, expect, rtol=1e-13, atol=0.0)
+
+
+def test_trial_draws_and_rows_do_not_depend_on_trial_count():
+    # trial i's counts are bitwise the same for T=3 and T=6; its recorded
+    # rows agree to rounding (the (T, d) products may round differently)
+    problem = random_quadratic_problem(12, 4, gen_seed=5)
+    cfg = SolverConfig(method="stoch_halpern", step=StepSchedule.poly(0.5),
+                       batch=BatchSchedule.exponential(4, 1.05, cap=512),
+                       iterations=150, seed=31, record_every=7)
+    seeds = np.random.SeedSequence(cfg.seed).generate_state(6, np.uint64)
+    few, many = TrialStreams(seeds[:3], 12), TrialStreams(seeds, 12)
+    out3 = np.empty((3, 12), dtype=np.int64)
+    out6 = np.empty((6, 12), dtype=np.int64)
+    for k in (0, 1, 77, 149):
+        b = cfg.batch.at(k)
+        few.draw(k, b, out3)
+        many.draw(k, b, out6)
+        np.testing.assert_array_equal(out3, out6[:3])
+    a = _run_trials(problem, cfg, seeds[:3])
+    b = _run_trials(problem, cfg, seeds)
+    for field in ("residuals", "f0_values", "dist_sq", "batch_dist_sq", "step_norms"):
+        np.testing.assert_allclose(getattr(a, field), getattr(b, field)[:3],
+                                   rtol=1e-13, atol=0.0, err_msg=field)
+    np.testing.assert_allclose(a.final_points, b.final_points[:3], rtol=1e-13, atol=0.0)
 
 
 def test_ensemble_requires_two_trials(twohalf_problem):

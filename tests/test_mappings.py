@@ -182,3 +182,26 @@ def test_averaged_family_shares_fixed_points():
         avg = make_averaged(problem.family, lam)
         avg_res = float(np.linalg.norm(x_star - avg.mean(x_star)))
         assert avg_res <= (1 - lam) * base_res + 1e-12
+
+
+@pytest.mark.parametrize("label", ["projection", "gradient", "blend"])
+def test_weighted_mean_matches_componentwise_sum(label):
+    # each family's stacked form against sum_i W[t, j, i] * eval_all(X[t])[i]
+    from stochfp import MappingFamily, random_halfspace_problem, random_quadratic_problem
+    families = {
+        "projection": lambda: random_halfspace_problem(30, 5, gen_seed=4).family,
+        "gradient": lambda: random_quadratic_problem(9, 5, gen_seed=1).family,
+        "blend": lambda: make_averaged(random_halfspace_problem(30, 5, gen_seed=4).family, 0.7),
+    }
+    fam = families[label]()
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((4, fam.dim)) * 3
+    W = rng.random((4, 3, fam.n))
+    W[:, 0] = 1.0 / fam.n
+    got = fam.weighted_mean(X, W)
+    expected = MappingFamily.weighted_mean(fam, X, W)
+    assert got.shape == (4, 3, fam.dim)
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+    for t in range(4):
+        np.testing.assert_allclose(got[t, 0], fam.eval_all(X[t]).mean(axis=0),
+                                   rtol=1e-12, atol=1e-13)

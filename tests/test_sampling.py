@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from stochfp import (BatchDraw, CallableFamily, apply_mini_batch,
-                     exact_mean_apply, sample_batch, two_halfspace_problem)
+                     exact_mean_apply, iteration_rng, sample_batch,
+                     two_halfspace_problem)
+from stochfp.sampling import TrialStreams
 
 
 def test_single_component_always_index_one():
@@ -46,6 +48,30 @@ def test_batch_size_change_does_not_perturb_other_iterations():
     sample_batch(seed=5, k=3, n=4, b=999_999)
     after = sample_batch(seed=5, k=9, n=4, b=100)
     assert np.array_equal(before.indices, after.indices)
+
+
+@pytest.mark.parametrize("n, b", [(2, 1), (7, 1000), (300, 64)])
+def test_counter_reset_draws_what_a_fresh_generator_draws(n, b):
+    # the engine moves one generator per trial between iterations, in any
+    # order, and must reproduce iteration_rng(seed, k) bit for bit
+    seeds = [0, 99, 2**64 - 1]
+    streams = TrialStreams(seeds, n)
+    out = np.empty((len(seeds), n), dtype=np.int64)
+    for k in (5, 0, 17, 5, 2**40, 1):
+        streams.draw(k, b, out)
+        for row, seed in zip(out, seeds):
+            fresh = iteration_rng(seed, k).multinomial(b, np.full(n, 1.0 / n))
+            np.testing.assert_array_equal(row, fresh)
+
+
+def test_sample_batch_is_the_solver_draw():
+    # sample_batch expands the solver's multiplicity vector to ascending indices
+    for seed, k, n, b in ((3, 0, 2, 8), (424242, 9, 5, 40), (7, 123, 50, 3)):
+        draw = sample_batch(seed, k, n, b)
+        counts = np.empty((1, n), dtype=np.int64)
+        TrialStreams([seed], n).draw(k, b, counts)
+        np.testing.assert_array_equal(draw.counts(), counts[0])
+        assert np.all(np.diff(draw.indices) >= 0)
 
 
 def test_draw_validates_indices():

@@ -3,10 +3,14 @@ import pytest
 
 from stochfp import (BatchSchedule, CallableFamily, Halfspace, Problem,
                      SolverConfig, StepSchedule, ensemble, halpern_step,
-                     km_step, make_projection_family, run,
+                     iteration_rng, km_step, make_averaged,
+                     make_projection_family, random_halfspace_problem,
+                     random_quadratic_problem, resolve_oracle, run,
                      two_halfspace_problem)
 from stochfp.core import DivergenceError
 from stochfp.solvers import _iterate
+
+from reference_loop import reference_run
 
 
 def test_halpern_step_examples():
@@ -111,9 +115,9 @@ def test_lambda_zero_reduces_to_plain_stochastic():
     cfg_plain = SolverConfig(method="stoch_halpern", step=StepSchedule.poly(0.5),
                              batch=batch, iterations=200, seed=11, record_every=1)
     plain = run(problem, cfg_plain)
-    blended = _iterate(problem, cfg_plain, x_star=None, lam=0.0)
-    assert np.array_equal(plain.final_point, blended.final_point)
-    assert np.array_equal(plain.residuals, blended.residuals)
+    blended = _iterate(problem, cfg_plain, [cfg_plain.seed], x_star=None, lam=0.0)
+    assert np.array_equal(plain.final_point, blended.final_points[0])
+    assert np.array_equal(plain.residuals, blended.residuals[0])
 
 
 def test_lambda_config_range_enforced():
@@ -160,6 +164,84 @@ def test_divergence_aborts_with_seed():
     with pytest.raises(DivergenceError) as err:
         run(problem, cfg)
     assert err.value.seed == 1234
+
+
+def _callable_problem():
+    c, s = np.cos(0.3), np.sin(0.3)
+    rot = np.array([[c, -s], [s, c]])
+    fam = CallableFamily([lambda x: x / max(1.0, float(np.linalg.norm(x))),
+                          lambda x: rot @ x,
+                          lambda x: np.array([x[0], 0.0]),
+                          lambda x: np.clip(x, -0.5, 2.0)], dim=2)
+    return Problem(family=fam, x0=np.array([2.0, 1.0]))
+
+
+def _blend_problem():
+    base = two_halfspace_problem()
+    return Problem(family=make_averaged(base.family, 0.6), x0=base.x0,
+                   oracle_info=base.oracle_info)
+
+
+REFERENCE_PROBLEMS = {
+    "projection": lambda: random_halfspace_problem(10, 4, gen_seed=3),
+    "gradient": lambda: random_quadratic_problem(8, 3, gen_seed=2),
+    "callable": _callable_problem,
+    "blend": _blend_problem,
+}
+
+REFERENCE_METHODS = {
+    "km": dict(step=StepSchedule.constant(0.5)),
+    "halpern": dict(step=StepSchedule.poly(0.5)),
+    "stoch_km": dict(step=StepSchedule.constant(0.5)),
+    "stoch_halpern": dict(step=StepSchedule.poly(0.5)),
+    "stoch_halpern_lambda": dict(step=StepSchedule.lambda_poly(0.5, 0.75), lam=0.75),
+}
+
+
+@pytest.mark.parametrize("method", list(REFERENCE_METHODS))
+@pytest.mark.parametrize("label", list(REFERENCE_PROBLEMS))
+def test_run_matches_per_trial_reference(label, method):
+    # the (T, d) engine at T=1 against a plain loop over eval_all,
+    # iteration_rng and halpern_step / km_step; record_every=3 exercises
+    # the iterations that evaluate only the sampled mean
+    problem = REFERENCE_PROBLEMS[label]()
+    batch = BatchSchedule.exponential(2, 1.1, cap=64) if method.startswith("stoch") else None
+    cfg = SolverConfig(method=method, iterations=40, seed=977, batch=batch,
+                       record_every=3, **REFERENCE_METHODS[method])
+    x_star = resolve_oracle(problem).x_star if problem.oracle_info is not None else None
+    rec = run(problem, cfg)
+    ref = reference_run(problem, cfg, x_star)
+    assert (rec.dist_sq is None) == (x_star is None)
+    for key, expected in ref.items():
+        got = rec.final_point if key == "final_point" else getattr(rec, key)
+        scale = np.nanmax(np.abs(expected))
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * scale,
+                                   err_msg=key)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergence_names_the_failing_trial():
+    # b=1: a trial that draws the blow-up component at k=0 jumps to ~1e200,
+    # where that component overflows, so its iterate is non-finite at k=2.
+    # Choose a master seed whose trial 0 draws the identity at k=0 (and stays
+    # finite through k=2) while trial 1 draws the blow-up component.
+    fam = CallableFamily([lambda x: x, lambda x: 1e200 * x], dim=1)
+    problem = Problem(family=fam, x0=np.array([1.0]))
+
+    def first_draw(seed):
+        return iteration_rng(int(seed), 0).multinomial(1, [0.5, 0.5]).tolist()
+
+    for master in range(100):
+        seeds = np.random.SeedSequence(master).generate_state(3, np.uint64)
+        if first_draw(seeds[0]) == [1, 0] and first_draw(seeds[1]) == [0, 1]:
+            break
+    cfg = SolverConfig(method="stoch_km", step=StepSchedule.constant(0.9),
+                       batch=BatchSchedule.constant(1), iterations=20, seed=master)
+    with pytest.raises(DivergenceError) as err:
+        ensemble(problem, cfg, trials=3)
+    assert err.value.seed == int(seeds[1])
+    assert err.value.step == 2
+    assert f"seed {int(seeds[1])}" in str(err.value)
 
 
 @pytest.mark.filterwarnings("error")
