@@ -359,6 +359,10 @@ def _summary_lines(cfg: ExperimentConfig, oracle, sigma_sq, constants,
     out.append(f"  method: {oracle.method}")
     out.append(f"  x_star: [{' '.join(_fmt(v) for v in oracle.x_star)}]")
     out.append(f"  residual_at_star: {_fmt(oracle.residual_at_star)}")
+    if oracle.iterations is not None:
+        out.append(f"  iterations: {oracle.iterations}")
+    if oracle.condition is not None:
+        out.append(f"  condition: {_fmt(oracle.condition)}")
     out.append(f"  f0_star: {_fmt(stats.f0_star)}")
     out.append("")
     out.append("constants:")

@@ -173,7 +173,7 @@ def exact_mean_apply(family: MappingFamily, x) -> np.ndarray:
 class OracleInfo:
     """Data sufficient to compute the anchor's projection onto Fix(T) independently.
 
-    ``kind`` selects the oracle route: ``"halfspaces"`` (cyclic-projection
+    ``kind`` selects the oracle route: ``"halfspaces"`` (active-set projection
     oracle over the stored halfspace list) or ``"quadratic"`` (normal
     equations over the stored least-squares terms).
     """

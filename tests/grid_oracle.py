@@ -1,6 +1,6 @@
 """Brute-force grid projection: a test-only second opinion for the oracles.
 
-Never used in production code; agreement with the cyclic-projection oracle
+Never used in production code; agreement with the active-set projection oracle
 is what certifies both.
 """
 

@@ -151,7 +151,7 @@ def test_criterion_03_oracle_agreement(quad_problem):
         g = grid_project(halfspaces, x0)
         if np.linalg.norm(res.x_star - g) > 1e-3:
             agree = False
-    _check(3, "cyclic-projection oracle agrees with brute-force grid to 1e-3 "
+    _check(3, "active-set projection oracle agrees with brute-force grid to 1e-3 "
               "on 3 hand-built instances", agree)
 
     res = oracle_quadratic(quad_problem.oracle_info.data, quad_problem.x0)

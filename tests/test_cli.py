@@ -58,6 +58,54 @@ def test_minimal_deterministic_run(tmp_path):
     assert "oracle" in summary and "x_star" in summary
 
 
+QUADRATIC = """\
+[problem]
+kind = quadratic
+n = 6
+dim = 3
+gen_seed = 3
+
+[method]
+name = halpern
+
+[step]
+kind = poly
+a = 1.0
+
+[run]
+iterations = 40
+record_every = 10
+trials = 2
+seed = 7
+
+[output]
+prefix = {prefix}
+"""
+
+
+def _oracle_block(summary: str) -> list[str]:
+    lines = summary.splitlines()
+    start = lines.index("oracle:") + 1
+    return lines[start:lines.index("", start)]
+
+
+def test_summary_reports_oracle_cost(tmp_path):
+    cfg = _write(tmp_path, MINIMAL.format(prefix=tmp_path / "h"))
+    assert cli.run_experiment(cfg) == 0
+    block = _oracle_block((tmp_path / "h_summary.txt").read_text())
+    assert "  method: active_set" in block
+    assert "  iterations: 1" in block  # one halfspace enters, the other then holds
+    assert not any(line.startswith("  condition:") for line in block)
+
+    cfg = _write(tmp_path, QUADRATIC.format(prefix=tmp_path / "q"), name="quad.cfg")
+    assert cli.run_experiment(cfg) == 0
+    block = _oracle_block((tmp_path / "q_summary.txt").read_text())
+    assert "  method: normal_equations" in block
+    cond = [line for line in block if line.startswith("  condition: ")]
+    assert len(cond) == 1 and float(cond[0].split(": ")[1]) >= 1.0
+    assert not any(line.startswith("  iterations:") for line in block)
+
+
 def test_csv_byte_identical_reruns(tmp_path):
     cfg = _write(tmp_path, MINIMAL.format(prefix=tmp_path / "a"))
     assert cli.run_experiment(cfg, out_prefix=str(tmp_path / "r1")) == 0

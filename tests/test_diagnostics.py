@@ -9,7 +9,8 @@ from stochfp import (BatchSchedule, EnsembleStats, Halfspace, OracleError,
                      make_projection_family, oracle_feasibility,
                      oracle_quadratic, predicted_rate_exponent, resolve_oracle,
                      run, sample_ball, theorem_constants, two_halfspace_problem)
-from stochfp import CallableFamily, random_quadratic_problem
+from stochfp import (CallableFamily, random_halfspace_problem,
+                     random_quadratic_problem)
 from stochfp.sampling import TrialStreams
 from stochfp.solvers import _run_trials
 from grid_oracle import grid_project
@@ -42,7 +43,34 @@ def test_oracle_feasibility_identity_on_feasible_anchor():
 def test_oracle_feasibility_empty_intersection():
     halfspaces = _hs((1, 0, -1), (-1, 0, -1))  # x1 <= -1 and x1 >= 1
     with pytest.raises(OracleError, match="empty"):
-        oracle_feasibility(halfspaces, [0.0, 0.0], max_sweeps=2000)
+        oracle_feasibility(halfspaces, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("n", [10, 1000, 2000])
+def test_oracle_feasibility_satisfies_kkt(n):
+    problem = random_halfspace_problem(n, 20, 7)
+    res = oracle_feasibility(problem.oracle_info.data, problem.x0)
+    A = np.stack([h.normal for h in problem.oracle_info.data])
+    beta = np.array([h.offset for h in problem.oracle_info.data])
+    slack = A @ res.x_star - beta
+    assert slack.max() <= 1e-10
+    active = np.abs(slack) <= 1e-9
+    assert active.any()
+    # x0 - x* is a nonnegative combination of the active normals
+    u = np.linalg.lstsq(A[active].T, problem.x0 - res.x_star, rcond=None)[0]
+    assert u.min() >= -1e-10
+    assert np.linalg.norm(A[active].T @ u - (problem.x0 - res.x_star)) <= 1e-9
+    assert res.method == "active_set" and res.iterations >= active.sum()
+
+
+def test_oracle_feasibility_reports_empty_intersection_at_scale():
+    problem = random_halfspace_problem(2000, 20, 7)
+    e1 = np.eye(20)[0]
+    halfspaces = list(problem.oracle_info.data) + [Halfspace(e1, -1.0),
+                                                    Halfspace(-e1, -1.0)]
+    # the Farkas certificate, not the residual check that follows the steps
+    with pytest.raises(OracleError, match="the intersection is empty"):
+        oracle_feasibility(halfspaces, problem.x0)
 
 
 def test_oracle_agrees_with_grid_on_slanted_instance():
@@ -129,7 +157,7 @@ def test_theorem_constants_trivial_cases():
     problem = Problem(family=CallableFamily([lambda x: x], dim=2),
                       x0=np.zeros(2))
     from stochfp import OracleResult
-    oracle = OracleResult(x_star=np.zeros(2), residual_at_star=0.0, method="dykstra")
+    oracle = OracleResult(x_star=np.zeros(2), residual_at_star=0.0, method="active_set")
     c = theorem_constants(problem, oracle, sigma_sq=0.0)
     assert c.M == 0.0 and c.M1 == 0.0 and c.M3 == 0.0
 
@@ -146,7 +174,7 @@ def test_theorem_constants_batch_bound():
     problem = Problem(family=CallableFamily([lambda x: x], dim=1),
                       x0=np.zeros(1))
     from stochfp import OracleResult
-    oracle = OracleResult(x_star=np.zeros(1), residual_at_star=0.0, method="dykstra")
+    oracle = OracleResult(x_star=np.zeros(1), residual_at_star=0.0, method="active_set")
     c = theorem_constants(problem, oracle, 0.0,
                           batch=BatchSchedule.exponential(32, 2.0))
     assert c.B == pytest.approx(0.0625, abs=0.0)
