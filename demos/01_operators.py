@@ -1,14 +1,15 @@
 """Mapping families: projections, gradient steps, and identity blending.
 
-Builds the two built-in family kinds, checks their contraction behaviour on
-random pairs, and shows the exact variance scaling of the blended family.
+Builds the two built-in family kinds (``ProjectionFamily`` and
+``make_gradient_family``), evaluates the exact mean with ``family.mean``,
+checks contraction behaviour on random pairs, and shows the exact variance
+scaling of ``AveragedFamily``, the blend that ``stoch_halpern_lambda`` runs on.
 """
 
 import numpy as np
 
-from stochfp import (Halfspace, QuadraticTerm, exact_mean_apply, make_averaged,
-                     make_gradient_family, make_projection_family,
-                     project_halfspace)
+from stochfp import (AveragedFamily, Halfspace, ProjectionFamily, QuadraticTerm,
+                     make_gradient_family, project_halfspace)
 
 rng = np.random.default_rng(0)
 
@@ -18,13 +19,13 @@ for x in ([1.0, 1.0], [-2.0, 0.5], [3.0, -1.0]):
     print(f"  P({x}) = {project_halfspace(h, x)}")
 
 print("\n== mean-of-projections family ==")
-family = make_projection_family([
+family = ProjectionFamily([
     Halfspace(normal=np.array([1.0, 0.0]), offset=0.0),
     Halfspace(normal=np.array([0.0, 1.0]), offset=0.0),
 ])
 x = np.array([1.0, 1.0])
-print(f"  T((1,1)) = {exact_mean_apply(family, x)}   (average of the two projections)")
-print(f"  T((-1,-1)) = {exact_mean_apply(family, [-1.0, -1.0])}   (fixed: inside both sets)")
+print(f"  T((1,1)) = {family.mean(x)}   (average of the two projections)")
+print(f"  T((-1,-1)) = {family.mean([-1.0, -1.0])}   (fixed: inside both sets)")
 
 worst = 0.0
 for _ in range(2000):
@@ -50,7 +51,7 @@ x = np.array([0.8, 0.3])
 vals = family.eval_all(x)
 base_var = float(np.sum((vals - vals.mean(0)) ** 2)) / family.n
 for lam in (0.0, 0.25, 0.5, 0.75):
-    blended = make_averaged(family, lam)
+    blended = AveragedFamily(family, lam)
     bvals = blended.eval_all(x)
     var = float(np.sum((bvals - bvals.mean(0)) ** 2)) / family.n
     print(f"  lambda={lam:4.2f}: variance {var:.6f} = (1-lambda)^2 * {base_var:.6f}"

@@ -9,11 +9,10 @@ Monte-Carlo diagnostics.
 
 from .core import (CallableFamily, DimensionMismatchError, DivergenceError,
                    EnsembleStats, MappingFamily, OracleError, OracleInfo,
-                   Problem, RunRecord, as_point, exact_mean_apply, f0_value)
+                   Problem, RunRecord, as_point, f0_value)
 from .mappings import (AveragedFamily, GradientFamily, Halfspace,
                        NonexpansivityError, ProjectionFamily, QuadraticTerm,
-                       make_averaged, make_gradient_family,
-                       make_projection_family, project_halfspace)
+                       make_gradient_family, project_halfspace)
 from .schedules import (BatchSchedule, ConditionScan, StepSchedule,
                         ValidationReport, validate)
 from .sampling import BatchDraw, apply_mini_batch, iteration_rng, sample_batch
@@ -30,14 +29,14 @@ from .benchmarks import (random_halfspace_problem, random_quadratic_problem,
 __version__ = "0.1.0"
 
 __all__ = [
-    "as_point", "f0_value", "exact_mean_apply",
+    "as_point", "f0_value",
     "MappingFamily", "CallableFamily", "Problem", "OracleInfo",
     "RunRecord", "EnsembleStats",
     "DimensionMismatchError", "DivergenceError", "OracleError",
     "Halfspace", "project_halfspace", "ProjectionFamily",
     "QuadraticTerm", "GradientFamily", "AveragedFamily",
     "NonexpansivityError",
-    "make_projection_family", "make_gradient_family", "make_averaged",
+    "make_gradient_family",
     "StepSchedule", "BatchSchedule", "ValidationReport", "ConditionScan",
     "validate",
     "BatchDraw", "sample_batch", "apply_mini_batch", "iteration_rng",

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from .core import OracleInfo, Problem
-from .mappings import (Halfspace, QuadraticTerm, make_gradient_family,
-                       make_projection_family)
+from .mappings import (Halfspace, ProjectionFamily, QuadraticTerm,
+                       make_gradient_family)
 
 __all__ = [
     "two_halfspace_problem",
@@ -30,7 +30,7 @@ def two_halfspace_problem() -> Problem:
         Halfspace(normal=np.array([s, s]), offset=0.0),
     )
     return Problem(
-        family=make_projection_family(halfspaces),
+        family=ProjectionFamily(halfspaces),
         x0=np.array([1.0, 0.0]),
         oracle_info=OracleInfo(kind="halfspaces", data=halfspaces),
         name="two_halfspace",
@@ -53,7 +53,7 @@ def random_halfspace_problem(n: int, dim: int, gen_seed: int,
         halfspaces.append(Halfspace(normal=a, offset=float(rng.uniform(0.2, 1.0))))
     halfspaces = tuple(halfspaces)
     return Problem(
-        family=make_projection_family(halfspaces),
+        family=ProjectionFamily(halfspaces),
         x0=np.full(dim, float(anchor_scale)),
         oracle_info=OracleInfo(kind="halfspaces", data=halfspaces),
         name=f"halfspaces_n{n}_d{dim}",

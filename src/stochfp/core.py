@@ -21,7 +21,6 @@ __all__ = [
     "OracleError",
     "as_point",
     "f0_value",
-    "exact_mean_apply",
     "MappingFamily",
     "CallableFamily",
     "OracleInfo",
@@ -162,11 +161,6 @@ class CallableFamily(MappingFamily):
         for i, t in enumerate(self._components):
             out[i] = np.asarray(t(x), dtype=float)
         return out
-
-
-def exact_mean_apply(family: MappingFamily, x) -> np.ndarray:
-    """Apply the exact mean mapping ``T = (1/n) sum_i T_i`` at ``x``."""
-    return family.mean(x)
 
 
 @dataclass(frozen=True)

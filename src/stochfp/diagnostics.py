@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (EnsembleStats, OracleError, Problem, as_point, f0_value)
-from .mappings import Halfspace, QuadraticTerm, make_projection_family
+from .mappings import Halfspace, ProjectionFamily, QuadraticTerm
 from .schedules import BatchSchedule, StepSchedule, batch_inv_sum_bound
 from .solvers import SolverConfig, _run_trials
 
@@ -108,7 +108,7 @@ def oracle_feasibility(halfspaces: Sequence[Halfspace], x0) -> OracleResult:
     """
     if len(halfspaces) == 0:
         raise ValueError("need at least one halfspace")
-    family = make_projection_family(halfspaces)
+    family = ProjectionFamily(halfspaces)
     A, beta = family._A, family._beta
     inv_norm = np.sqrt(family._inv_norm_sq)
     x = as_point(x0, dim=family.dim, name="x0").copy()
@@ -202,9 +202,9 @@ def oracle_quadratic(terms: Sequence[QuadraticTerm], x0) -> OracleResult:
                         method="normal_equations", condition=cond)
 
 
-def resolve_oracle(problem: Problem, cache: bool = True) -> OracleResult:
+def resolve_oracle(problem: Problem) -> OracleResult:
     """Compute (and memoize on the problem) the oracle point for its family."""
-    if problem._oracle_cache is not None and cache:
+    if problem._oracle_cache is not None:
         return problem._oracle_cache
     info = problem.oracle_info
     if info is None:
@@ -215,8 +215,7 @@ def resolve_oracle(problem: Problem, cache: bool = True) -> OracleResult:
         result = oracle_quadratic(info.data, problem.x0)
     else:
         raise ValueError(f"unknown oracle kind {info.kind!r}")
-    if cache:
-        object.__setattr__(problem, "_oracle_cache", result)  # Problem is frozen
+    object.__setattr__(problem, "_oracle_cache", result)  # Problem is frozen
     return result
 
 
@@ -270,8 +269,9 @@ class TheoremConstants:
     """Constants appearing in the boundedness and rate bounds.
 
     ``M`` bounds the expected squared distance of iterates to the limit
-    point (tightest admissible choice ``||x0 - x_star||^2 + sigma_sq``);
-    ``M1`` bounds expected mapped-value norms; ``M2`` equals ``M``;
+    point (tightest admissible choice ``||x0 - x_star||^2 + sigma_sq``),
+    and every bound that reuses that quantity reads it from ``M``;
+    ``M1`` bounds expected mapped-value norms;
     ``M3 = 4*(M + sigma_sq + ||grad f0(x_star)||^2)`` enters the rate bound
     of the identity-blended variant; ``B`` is the closed-form bound on
     ``sum 1/b_k`` (None for constant batches, where no such bound exists).
@@ -280,7 +280,6 @@ class TheoremConstants:
     sigma_sq: float
     M: float
     M1: float
-    M2: float
     M3: float
     B: float | None
 
@@ -298,7 +297,7 @@ def theorem_constants(problem: Problem, oracle: OracleResult, sigma_sq: float,
     grad_sq = dist_sq  # grad f0(x_star) = x_star - x0
     m3 = 4.0 * (m + sigma_sq + grad_sq)
     b = batch_inv_sum_bound(batch) if batch is not None else None
-    return TheoremConstants(sigma_sq=sigma_sq, M=m, M1=m1, M2=m, M3=m3, B=b)
+    return TheoremConstants(sigma_sq=sigma_sq, M=m, M1=m1, M3=m3, B=b)
 
 
 def averaged_rate_bound(constants: TheoremConstants, step: StepSchedule,

@@ -31,12 +31,10 @@ __all__ = [
     "Halfspace",
     "project_halfspace",
     "ProjectionFamily",
-    "make_projection_family",
     "QuadraticTerm",
     "GradientFamily",
     "make_gradient_family",
     "AveragedFamily",
-    "make_averaged",
     "power_iteration_largest_eig",
 ]
 
@@ -83,7 +81,12 @@ def project_halfspace(h: Halfspace, x) -> np.ndarray:
 
 
 class ProjectionFamily(MappingFamily):
-    """Mean-of-projections family over a list of halfspaces."""
+    """Family whose component ``i`` projects onto halfspace ``i``.
+
+    The mean's fixed points are the intersection of the halfspaces whenever
+    that intersection is nonempty (the caller is responsible for
+    feasibility; the projection oracle detects empty intersections).
+    """
 
     def __init__(self, halfspaces: Sequence[Halfspace]):
         if len(halfspaces) == 0:
@@ -108,16 +111,6 @@ class ProjectionFamily(MappingFamily):
         # forming the (T, n, d) component values
         coef = np.maximum(X @ self._A.T - self._beta, 0.0) * self._inv_norm_sq
         return W.sum(axis=-1)[:, :, None] * X[:, None, :] - (W * coef[:, None, :]) @ self._A
-
-
-def make_projection_family(halfspaces: Sequence[Halfspace]) -> ProjectionFamily:
-    """Family whose component ``i`` projects onto halfspace ``i``.
-
-    The mean's fixed points are the intersection of the halfspaces whenever
-    that intersection is nonempty (the caller is responsible for
-    feasibility; the projection oracle detects empty intersections).
-    """
-    return ProjectionFamily(halfspaces)
 
 
 def power_iteration_largest_eig(mat: np.ndarray, seed: int = 0,
@@ -250,7 +243,8 @@ class AveragedFamily(MappingFamily):
     """Blend of a base family with the identity: ``T_i^lam = lam*Id + (1-lam)*T_i``.
 
     Shares the base family's fixed points and scales its componentwise
-    variance by ``(1 - lam)^2``.
+    variance by ``(1 - lam)^2``.  This is the one place the identity blend is
+    written: ``stoch_halpern_lambda`` runs the anchored iteration on it.
     """
 
     def __init__(self, base: MappingFamily, lam: float):
@@ -266,8 +260,3 @@ class AveragedFamily(MappingFamily):
     def weighted_mean(self, X: np.ndarray, W: np.ndarray) -> np.ndarray:
         base = self.base.weighted_mean(X, W)
         return self.lam * W.sum(axis=-1)[:, :, None] * X[:, None, :] + (1.0 - self.lam) * base
-
-
-def make_averaged(base: MappingFamily, lam: float) -> AveragedFamily:
-    """Convex combination of the identity and each component of ``base``."""
-    return AveragedFamily(base, lam)

@@ -12,7 +12,9 @@ cannot be checked at a finite horizon; :func:`validate` scans a finite
 prefix for the pointwise conditions and certifies the tail behaviour
 analytically per schedule kind.  Prefix violations are reported with the
 first index from which a condition holds through the horizon, and are
-treated as warnings rather than errors.
+treated as warnings rather than errors.  Every built-in step kind has a
+divergent ``sum alpha_k`` and summable ``|alpha_{k+1} - alpha_k|`` (its
+steps are monotone and ``a <= 1``), so neither condition is scanned.
 """
 
 from __future__ import annotations
@@ -35,6 +37,11 @@ __all__ = [
 ]
 
 _HUGE_BATCH = 2**62  # stand-in when an uncapped schedule overflows float range
+
+
+def _lambda_step_cap(lam: float) -> float:
+    """Largest step the identity-blended iteration admits: ``(2*lam-1)/(2*(1-lam))``."""
+    return (2.0 * lam - 1.0) / (2.0 * (1.0 - lam))
 
 
 @dataclass(frozen=True)
@@ -92,8 +99,7 @@ class StepSchedule:
         if self.kind == "poly":
             return (k + 1.0) ** (-self.a)
         if self.kind == "lambda_poly":
-            scale = (2.0 * self.lam - 1.0) / (2.0 * (1.0 - self.lam))
-            return scale * (k + 1.0) ** (-self.a)
+            return _lambda_step_cap(self.lam) * (k + 1.0) ** (-self.a)
         return self.c
 
     def values(self, horizon: int) -> np.ndarray:
@@ -113,16 +119,6 @@ class StepSchedule:
     def vanishes(self) -> bool:
         """Whether alpha_k -> 0 (true for the polynomially decreasing kinds)."""
         return self.kind in ("poly", "lambda_poly")
-
-    @property
-    def sum_diverges(self) -> bool:
-        """Whether sum(alpha_k) = infinity; true for all built-in kinds (a <= 1)."""
-        return True
-
-    @property
-    def abs_diff_summable(self) -> bool:
-        """Monotone bounded steps have summable successive differences."""
-        return True
 
     @property
     def km_sum_diverges(self) -> bool:
@@ -240,10 +236,6 @@ class BatchSchedule:
     def values(self, horizon: int) -> np.ndarray:
         """``at(k)`` for ``k < horizon`` as int64, saturated at 2^62 likewise."""
         return np.minimum(self.values_float(horizon), float(_HUGE_BATCH)).astype(np.int64)
-
-    @property
-    def increasing_kind(self) -> bool:
-        return self.kind in ("polynomial", "exponential")
 
     @property
     def inv_sqrt_summable(self) -> bool:
@@ -376,7 +368,6 @@ class ValidationReport:
     """
 
     horizon: int
-    lam: float | None
     inv_b_le_alpha: ConditionScan
     inv_b_le_alpha_sq: ConditionScan
     alpha_le_lambda_bound: ConditionScan | None
@@ -389,8 +380,6 @@ class ValidationReport:
     root_batch_bound: float | None
     sum_inv_sqrt_b_le_root_bound: bool | None
     step_vanishes: bool
-    step_sum_diverges: bool
-    step_abs_diff_summable: bool
     km_step_sum_diverges: bool
     batch_inv_sqrt_summable: bool
     batch_inv_summable: bool
@@ -422,9 +411,7 @@ class ValidationReport:
                 ok = "<=" if self.sum_inv_sqrt_b_le_root_bound else ">"
                 out.append(f"root-sum bound = {self.root_batch_bound:.12g} "
                            f"(sum 1/sqrt(b_k) {ok} bound)")
-        out.append(f"step vanishes: {self.step_vanishes}; "
-                   f"step sum diverges: {self.step_sum_diverges}; "
-                   f"|alpha_(k+1)-alpha_k| summable: {self.step_abs_diff_summable}")
+        out.append(f"step vanishes: {self.step_vanishes}")
         out.append(f"sum alpha(1-alpha) diverges: {self.km_step_sum_diverges}")
         if include_batch:
             out.append(f"1/sqrt(b_k) summable (by kind, ignoring cap): "
@@ -449,12 +436,10 @@ def validate(step: StepSchedule, batch: BatchSchedule, horizon: int,
     alphas = step.values(horizon)
     bs = batch.values_float(horizon)
     inv_b = 1.0 / bs
-    report_lam = None
     lam_scan = None
     if lam is not None:
-        report_lam = float(lam)
-        bound = (2.0 * lam - 1.0) / (2.0 * (1.0 - lam))
-        lam_scan = _scan("alpha_k <= (2*lam-1)/(2*(1-lam))", alphas <= bound + 1e-15)
+        lam_scan = _scan("alpha_k <= (2*lam-1)/(2*(1-lam))",
+                         alphas <= _lambda_step_cap(lam) + 1e-15)
 
     big_b = batch_inv_sum_bound(batch)
     root_b = batch_inv_sqrt_sum_bound(batch)
@@ -464,7 +449,6 @@ def validate(step: StepSchedule, batch: BatchSchedule, horizon: int,
 
     return ValidationReport(
         horizon=horizon,
-        lam=report_lam,
         inv_b_le_alpha=_scan("1/b_k <= alpha_k", inv_b <= alphas + 1e-15),
         inv_b_le_alpha_sq=_scan("1/b_k <= alpha_k^2", inv_b <= alphas**2 + 1e-15),
         alpha_le_lambda_bound=lam_scan,
@@ -479,8 +463,6 @@ def validate(step: StepSchedule, batch: BatchSchedule, horizon: int,
             None if root_b is None else bool(sum_inv_sqrt_b <= root_b * (1 + 1e-12))
         ),
         step_vanishes=step.vanishes,
-        step_sum_diverges=step.sum_diverges,
-        step_abs_diff_summable=step.abs_diff_summable,
         km_step_sum_diverges=step.km_sum_diverges,
         batch_inv_sqrt_summable=batch.inv_sqrt_summable,
         batch_inv_summable=batch.inv_summable,

@@ -6,14 +6,16 @@ Five update rules operate on a problem's mapping family:
 * ``halpern``        - anchored iteration ``x <- alpha*x0 + (1-alpha)*T(x)``;
 * ``stoch_km``       - averaged iteration on a sampled mini-batch mean;
 * ``stoch_halpern``  - anchored iteration on a sampled mini-batch mean;
-* ``stoch_halpern_lambda`` - anchored iteration on the identity-blended
-  mini-batch mean ``lam*x + (1-lam)*T_batch(x)``.
+* ``stoch_halpern_lambda`` - ``stoch_halpern`` on the identity-blended
+  family ``AveragedFamily(family, lam)``, whose sampled mean is
+  ``lam*x + (1-lam)*T_batch(x)``.
 
 The anchored rules keep pulling toward the initial point ``x0`` with weight
 ``alpha_k``, which is what steers them to the *closest* fixed point rather
 than an arbitrary one.  A run executes exactly ``K`` iterations (no stopping
-rule) and traces residuals against the exact family mean; sampled values
-never enter the recorded metrics.  Runs are deterministic given the seed.
+rule) and traces residuals against the exact mean of the problem's own
+family, also for the blended rule; sampled values never enter the recorded
+metrics.  Runs are deterministic given the seed.
 
 One engine runs every trial: ``T`` trials advance together in a ``(T, d)``
 state and write ``(T, L)`` record arrays.  :func:`run` is its ``T = 1``
@@ -32,8 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DivergenceError, Problem, RunRecord, as_point
+from .mappings import AveragedFamily
 from .sampling import TrialStreams
-from .schedules import BatchSchedule, StepSchedule
+from .schedules import BatchSchedule, StepSchedule, _lambda_step_cap
 
 __all__ = ["METHODS", "STOCHASTIC_METHODS", "SolverConfig",
            "halpern_step", "km_step", "run"]
@@ -49,6 +52,7 @@ class SolverConfig:
     ``batch`` is ignored by the deterministic methods.  For
     ``stoch_halpern_lambda`` the blend weight must lie in (1/2, 3/4], the
     range on which the step cap ``(2*lam-1)/(2*(1-lam))`` stays in (0, 1].
+    ``seed`` must lie in ``[0, 2**128)``, the key range of the Philox stream.
     """
 
     method: str
@@ -62,6 +66,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
+        if not 0 <= self.seed < 2**128:
+            raise ValueError(f"seed must lie in [0, 2**128), got {self.seed}")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.record_every < 1:
@@ -115,7 +121,7 @@ def _validate_run(problem: Problem, cfg: SolverConfig) -> None:
             f"this step schedule attains {step_max} (use constant(c<1) or a scaled kind)"
         )
     if cfg.method == "stoch_halpern_lambda":
-        bound = (2.0 * cfg.lam - 1.0) / (2.0 * (1.0 - cfg.lam))
+        bound = _lambda_step_cap(cfg.lam)
         if step_max > bound + 1e-12:
             raise ValueError(
                 f"step schedule attains {step_max:.6g}, above the blend cap "
@@ -175,20 +181,25 @@ def _run_trials(problem: Problem, cfg: SolverConfig, seeds) -> _Trace:
         from .diagnostics import resolve_oracle  # deferred: diagnostics imports solvers
 
         x_star = resolve_oracle(problem).x_star
-    return _iterate(problem, cfg, seeds, x_star=x_star, lam=cfg.lam)
+    return _iterate(problem, cfg, seeds, x_star=x_star)
 
 
-def _iterate(problem: Problem, cfg: SolverConfig, seeds, x_star: np.ndarray | None,
-             lam: float | None) -> _Trace:
+def _iterate(problem: Problem, cfg: SolverConfig, seeds,
+             x_star: np.ndarray | None) -> _Trace:
     """The iteration engine: all trials in one ``(T, d)`` state, ``k = 0..K``.
 
     Trial ``t`` draws its batches from the stream ``seeds[t]``.  Each
     iteration makes one :meth:`MappingFamily.weighted_mean` call whose weight
     rows are the uniform ``1/n`` (the exact mean, only on record rows of the
-    stochastic methods) and ``counts / b_k`` (the sampled mean).  Assumes
-    validated inputs; tests may call it with an out-of-range ``lam``.
+    stochastic methods) and ``counts / b_k`` (the sampled mean).
+    ``stoch_halpern_lambda`` iterates on ``AveragedFamily(family, lam)``;
+    since ``x - T^lam(x) = (1-lam)*(x - T(x))``, its residuals are divided
+    once by ``1 - lam`` to stay measured against the problem's own mean
+    ``T``.  Assumes validated inputs.
     """
     family = problem.family
+    if cfg.lam is not None:
+        family = AveragedFamily(family, cfg.lam)
     x0 = problem.x0
     n = family.n
     trials = len(seeds)
@@ -235,8 +246,6 @@ def _iterate(problem: Problem, cfg: SolverConfig, seeds, x_star: np.ndarray | No
             break
 
         t_val = means[:, -1]
-        if lam is not None:
-            t_val = lam * x + (1.0 - lam) * t_val
         alpha = alpha_list[k]
         if anchored:
             x_next = alpha * x0 + (1.0 - alpha) * t_val
@@ -257,6 +266,8 @@ def _iterate(problem: Problem, cfg: SolverConfig, seeds, x_star: np.ndarray | No
 
     residuals, f0s, dists, batch_dists, step_norms = sq
     np.sqrt(residuals, out=residuals)
+    if cfg.lam is not None:
+        residuals /= 1.0 - cfg.lam
     f0s *= 0.5
     np.sqrt(step_norms, out=step_norms)
     if x_star is None:

@@ -13,9 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stochfp import (BatchSchedule, Halfspace, StepSchedule, apply_mini_batch,
-                     default_probes, estimate_sigma_sq, exact_mean_apply,
-                     averaged_rate_bound, fit_rate, make_averaged,
+from stochfp import (AveragedFamily, BatchSchedule, Halfspace, StepSchedule,
+                     apply_mini_batch, default_probes, estimate_sigma_sq,
+                     averaged_rate_bound, fit_rate,
                      oracle_feasibility, oracle_quadratic, project_halfspace,
                      random_halfspace_problem, resolve_oracle, sample_batch,
                      theorem_constants, validate)
@@ -45,7 +45,7 @@ def test_criterion_01_operator_properties(twohalf_problem, quad_problem):
         "two_halfspace": twohalf_problem.family,
         "ten_halfspace": random_halfspace_problem(10, 20, gen_seed=7).family,
         "quadratic": quad_problem.family,
-        "averaged": make_averaged(twohalf_problem.family, 0.6),
+        "averaged": AveragedFamily(twohalf_problem.family, 0.6),
     }
     nonexp_ok = True
     for fam in families.values():
@@ -78,7 +78,7 @@ def test_criterion_01_operator_properties(twohalf_problem, quad_problem):
     var_ok = True
     base = twohalf_problem.family
     for lam in (0.0, 0.3, 0.6, 1.0):
-        avg = make_averaged(base, lam)
+        avg = AveragedFamily(base, lam)
         for _ in range(100):
             x = rng.standard_normal(2) * 3
             vb = base.eval_all(x)
@@ -102,7 +102,7 @@ def test_criterion_02_mini_batch_statistics(twohalf_problem):
     x = np.array([0.7, 0.4])
     y_star = np.zeros(2)
     n_comp, b, n_draws = fam.n, 8, 100_000
-    t_exact = exact_mean_apply(fam, x)
+    t_exact = fam.mean(x)
     values = fam.eval_all(x)
     sigma_sq_exact = float(np.sum((values - t_exact) ** 2)) / n_comp
 

@@ -129,12 +129,21 @@ def test_overrides_take_effect(tmp_path):
     ("a = 1.0", "a = 3.0"),                        # out-of-range exponent
     ("trials = 3", "trials = 1"),                  # too few trials
     ("name = halpern", "name = sgd"),              # unknown method
+    ("seed = 99", "seed = -1"),                    # seed outside [0, 2**128)
 ])
 def test_config_errors_exit_1(tmp_path, capsys, mutation, fragment):
     text = MINIMAL.format(prefix=tmp_path / "x").replace(mutation, fragment)
     cfg = _write(tmp_path, text)
     assert cli.run_experiment(cfg) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_seed_override_out_of_range_exit_1(tmp_path, capsys):
+    cfg = _write(tmp_path, MINIMAL.format(prefix=tmp_path / "x"))
+    assert cli.main(["run", cfg, "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "seed" in err
+    assert not (tmp_path / "x_trace.csv").exists()
 
 
 def test_config_error_reports_line_and_field(tmp_path, capsys):

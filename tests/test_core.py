@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from stochfp import (CallableFamily, DimensionMismatchError, as_point,
-                     exact_mean_apply, f0_value, make_gradient_family,
-                     make_projection_family, two_halfspace_problem,
-                     random_quadratic_problem, Halfspace, QuadraticTerm)
+                     f0_value, make_gradient_family, ProjectionFamily,
+                     two_halfspace_problem, random_quadratic_problem,
+                     Halfspace, QuadraticTerm)
 
 
 def test_as_point_rejects_bad_input():
@@ -59,19 +59,19 @@ def _interval_family():
 def test_exact_mean_identical_components():
     f = CallableFamily([lambda x: 2.0 * x] * 3, dim=2)
     x = np.array([0.7, -0.3])
-    np.testing.assert_allclose(exact_mean_apply(f, x), 2.0 * x, rtol=1e-15)
+    np.testing.assert_allclose(f.mean(x), 2.0 * x, rtol=1e-15)
 
 
 def test_exact_mean_interval_projections():
     fam = _interval_family()
-    assert exact_mean_apply(fam, [0.5])[0] == pytest.approx(0.5)  # mean of 0 and 1
-    assert exact_mean_apply(fam, [2.0])[0] == pytest.approx(1.0)  # mean of 0 and 2
+    assert fam.mean([0.5])[0] == pytest.approx(0.5)  # mean of 0 and 1
+    assert fam.mean([2.0])[0] == pytest.approx(1.0)  # mean of 0 and 2
 
 
 def test_exact_mean_dimension_mismatch():
     fam = _interval_family()
     with pytest.raises(DimensionMismatchError):
-        exact_mean_apply(fam, [1.0, 2.0])
+        fam.mean([1.0, 2.0])
 
 
 def test_component_is_one_based():
@@ -92,7 +92,7 @@ def _builtin_families():
         a = rng.standard_normal(4)
         halfspaces.append(Halfspace(normal=a / np.linalg.norm(a),
                                     offset=float(rng.uniform(-0.5, 0.5))))
-    yield "projection_6x4", make_projection_family(halfspaces)
+    yield "projection_6x4", ProjectionFamily(halfspaces)
     terms = [QuadraticTerm(A=rng.standard_normal((5, 3)), b=rng.standard_normal(5))
              for _ in range(4)]
     yield "gradient_4x3", make_gradient_family(terms, eta="auto")

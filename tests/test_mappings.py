@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from stochfp import (Halfspace, NonexpansivityError, QuadraticTerm,
-                     make_averaged, make_gradient_family,
-                     make_projection_family, project_halfspace, resolve_oracle,
-                     two_halfspace_problem)
+from stochfp import (AveragedFamily, Halfspace, NonexpansivityError,
+                     ProjectionFamily, QuadraticTerm, make_gradient_family,
+                     project_halfspace, resolve_oracle, two_halfspace_problem)
 
 
 def test_halfspace_rejects_zero_normal():
@@ -47,7 +46,7 @@ def test_projection_firm_nonexpansivity():
 
 def test_projection_family_single_halfspace_is_projection():
     h = Halfspace(normal=np.array([1.0, 0.0]), offset=0.0)
-    fam = make_projection_family([h])
+    fam = ProjectionFamily([h])
     x = np.array([2.0, -1.0])
     np.testing.assert_allclose(fam.mean(x), project_halfspace(h, x))
 
@@ -55,14 +54,14 @@ def test_projection_family_single_halfspace_is_projection():
 def test_projection_family_two_corner_halfspaces():
     hs = [Halfspace(normal=np.array([1.0, 0.0]), offset=0.0),
           Halfspace(normal=np.array([0.0, 1.0]), offset=0.0)]
-    fam = make_projection_family(hs)
+    fam = ProjectionFamily(hs)
     np.testing.assert_allclose(fam.mean([1.0, 1.0]), [0.5, 0.5])
 
 
 def test_projection_family_fixes_intersection_points():
     hs = [Halfspace(normal=np.array([1.0, 0.0]), offset=0.0),
           Halfspace(normal=np.array([0.0, 1.0]), offset=0.0)]
-    fam = make_projection_family(hs)
+    fam = ProjectionFamily(hs)
     rng = np.random.default_rng(6)
     for _ in range(50):
         x = -np.abs(rng.standard_normal(2))  # inside both sets
@@ -71,9 +70,9 @@ def test_projection_family_fixes_intersection_points():
 
 def test_projection_family_rejects_bad_input():
     with pytest.raises(ValueError):
-        make_projection_family([])
+        ProjectionFamily([])
     with pytest.raises(ValueError):
-        make_projection_family([
+        ProjectionFamily([
             Halfspace(normal=np.array([1.0]), offset=0.0),
             Halfspace(normal=np.array([1.0, 0.0]), offset=0.0),
         ])
@@ -145,7 +144,7 @@ def _family_variance(family, x):
 @pytest.mark.parametrize("lam", [0.0, 0.25, 0.6, 1.0])
 def test_averaged_family_endpoints_and_variance(lam):
     base = two_halfspace_problem().family
-    avg = make_averaged(base, lam)
+    avg = AveragedFamily(base, lam)
     rng = np.random.default_rng(21)
     for _ in range(50):
         x = rng.standard_normal(2) * 3
@@ -162,16 +161,16 @@ def test_averaged_family_endpoints_and_variance(lam):
 def test_averaged_family_midpoint_example():
     from stochfp import CallableFamily
     fam = CallableFamily([lambda x: np.full(1, 2.0)], dim=1)
-    avg = make_averaged(fam, 0.5)
+    avg = AveragedFamily(fam, 0.5)
     assert avg.component(1, [0.0])[0] == pytest.approx(1.0)
 
 
 def test_averaged_lambda_out_of_range():
     base = two_halfspace_problem().family
     with pytest.raises(ValueError):
-        make_averaged(base, -0.1)
+        AveragedFamily(base, -0.1)
     with pytest.raises(ValueError):
-        make_averaged(base, 1.5)
+        AveragedFamily(base, 1.5)
 
 
 def test_averaged_family_shares_fixed_points():
@@ -179,7 +178,7 @@ def test_averaged_family_shares_fixed_points():
     x_star = resolve_oracle(problem).x_star
     base_res = float(np.linalg.norm(x_star - problem.family.mean(x_star)))
     for lam in (0.25, 0.5, 0.75):
-        avg = make_averaged(problem.family, lam)
+        avg = AveragedFamily(problem.family, lam)
         avg_res = float(np.linalg.norm(x_star - avg.mean(x_star)))
         assert avg_res <= (1 - lam) * base_res + 1e-12
 
@@ -191,7 +190,7 @@ def test_weighted_mean_matches_componentwise_sum(label):
     families = {
         "projection": lambda: random_halfspace_problem(30, 5, gen_seed=4).family,
         "gradient": lambda: random_quadratic_problem(9, 5, gen_seed=1).family,
-        "blend": lambda: make_averaged(random_halfspace_problem(30, 5, gen_seed=4).family, 0.7),
+        "blend": lambda: AveragedFamily(random_halfspace_problem(30, 5, gen_seed=4).family, 0.7),
     }
     fam = families[label]()
     rng = np.random.default_rng(8)

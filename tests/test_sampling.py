@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from stochfp import (BatchDraw, CallableFamily, apply_mini_batch,
-                     exact_mean_apply, iteration_rng, sample_batch,
-                     two_halfspace_problem)
+                     iteration_rng, sample_batch, two_halfspace_problem)
 from stochfp.sampling import TrialStreams
 
 
@@ -110,7 +109,7 @@ def test_apply_full_sweep_equals_exact_mean():
     draw = BatchDraw(indices=np.arange(1, fam.n + 1), n=fam.n, k=0, seed=0)
     x = np.array([0.8, 0.1])
     np.testing.assert_allclose(apply_mini_batch(fam, draw, x),
-                               exact_mean_apply(fam, x), rtol=1e-15)
+                               fam.mean(x), rtol=1e-15)
 
 
 def test_apply_rejects_family_mismatch():

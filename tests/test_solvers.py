@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from stochfp import (BatchSchedule, CallableFamily, Halfspace, Problem,
-                     SolverConfig, StepSchedule, ensemble, halpern_step,
-                     iteration_rng, km_step, make_averaged,
-                     make_projection_family, random_halfspace_problem,
+from stochfp import (AveragedFamily, BatchSchedule, CallableFamily, Halfspace,
+                     Problem, ProjectionFamily, SolverConfig, StepSchedule,
+                     ensemble, halpern_step, iteration_rng, km_step,
+                     random_halfspace_problem,
                      random_quadratic_problem, resolve_oracle, run,
                      two_halfspace_problem)
 from stochfp.core import DivergenceError
-from stochfp.solvers import _iterate
 
 from reference_loop import reference_run
 
@@ -50,7 +49,7 @@ def test_km_step_alpha_open_interval():
 
 def _single_projection_problem():
     h = Halfspace(normal=np.array([1.0, 0.0]), offset=0.0)
-    return Problem(family=make_projection_family([h]),
+    return Problem(family=ProjectionFamily([h]),
                    x0=np.array([1.0, 0.0]))
 
 
@@ -108,16 +107,16 @@ def test_degenerate_noise_equivalence(det_method, stoch_method):
 
 
 def test_lambda_zero_reduces_to_plain_stochastic():
-    # production range is (1/2, 3/4]; the inner loop is exercised at lam=0
-    # to confirm the blend is exactly a no-op there
+    # the solver's blend range is (1/2, 3/4]; the blended family it iterates
+    # on is run at lam=0 to confirm the blend is exactly a no-op there
     problem = two_halfspace_problem()
     batch = BatchSchedule.exponential(4, 1.05, cap=1024)
     cfg_plain = SolverConfig(method="stoch_halpern", step=StepSchedule.poly(0.5),
                              batch=batch, iterations=200, seed=11, record_every=1)
     plain = run(problem, cfg_plain)
-    blended = _iterate(problem, cfg_plain, [cfg_plain.seed], x_star=None, lam=0.0)
-    assert np.array_equal(plain.final_point, blended.final_points[0])
-    assert np.array_equal(plain.residuals, blended.residuals[0])
+    blended = run(Problem(AveragedFamily(problem.family, 0.0), problem.x0), cfg_plain)
+    assert np.array_equal(plain.final_point, blended.final_point)
+    assert np.array_equal(plain.residuals, blended.residuals)
 
 
 def test_lambda_config_range_enforced():
@@ -146,6 +145,13 @@ def test_km_rejects_unit_step():
                        iterations=10, seed=0)
     with pytest.raises(ValueError, match="averaged methods"):
         run(problem, cfg)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128])
+def test_seed_outside_philox_key_range_rejected(seed):
+    with pytest.raises(ValueError, match="seed"):
+        SolverConfig(method="halpern", step=StepSchedule.poly(0.5),
+                     iterations=10, seed=seed)
 
 
 def test_stochastic_requires_batch():
@@ -178,7 +184,7 @@ def _callable_problem():
 
 def _blend_problem():
     base = two_halfspace_problem()
-    return Problem(family=make_averaged(base.family, 0.6), x0=base.x0,
+    return Problem(family=AveragedFamily(base.family, 0.6), x0=base.x0,
                    oracle_info=base.oracle_info)
 
 
