@@ -1,15 +1,16 @@
 """Mapping families: projections, gradient steps, and identity blending.
 
 Builds the two built-in family kinds (``ProjectionFamily`` and
-``make_gradient_family``), evaluates the exact mean with ``family.mean``,
-checks contraction behaviour on random pairs, and shows the exact variance
-scaling of ``AveragedFamily``, the blend that ``stoch_halpern_lambda`` runs on.
+``GradientFamily``, whose ``l_max`` is exact), evaluates the exact mean with
+``family.mean``, checks contraction behaviour on random pairs, and shows the
+exact variance scaling of ``AveragedFamily``, the blend that
+``stoch_halpern_lambda`` runs on.
 """
 
 import numpy as np
 
-from stochfp import (AveragedFamily, Halfspace, ProjectionFamily, QuadraticTerm,
-                     make_gradient_family, project_halfspace)
+from stochfp import (AveragedFamily, GradientFamily, Halfspace, ProjectionFamily,
+                     QuadraticTerm, project_halfspace)
 
 rng = np.random.default_rng(0)
 
@@ -37,7 +38,7 @@ print(f"  worst contraction ratio over 2000 random pairs: {worst:.6f} (<= 1)")
 print("\n== gradient-step family on least-squares terms ==")
 terms = [QuadraticTerm(A=rng.standard_normal((4, 3)), b=rng.standard_normal(4))
          for _ in range(5)]
-grad_family = make_gradient_family(terms, eta="auto")
+grad_family = GradientFamily(terms, eta="auto")
 print(f"  auto step eta = {grad_family.eta:.6f}  (1/L_max, L_max = {grad_family.l_max:.4f})")
 worst = 0.0
 for _ in range(2000):

@@ -12,7 +12,7 @@ from .core import (CallableFamily, DimensionMismatchError, DivergenceError,
                    Problem, RunRecord, as_point, f0_value)
 from .mappings import (AveragedFamily, GradientFamily, Halfspace,
                        NonexpansivityError, ProjectionFamily, QuadraticTerm,
-                       make_gradient_family, project_halfspace)
+                       project_halfspace)
 from .schedules import (BatchSchedule, ConditionScan, StepSchedule,
                         ValidationReport, validate)
 from .sampling import BatchDraw, apply_mini_batch, iteration_rng, sample_batch
@@ -36,7 +36,6 @@ __all__ = [
     "Halfspace", "project_halfspace", "ProjectionFamily",
     "QuadraticTerm", "GradientFamily", "AveragedFamily",
     "NonexpansivityError",
-    "make_gradient_family",
     "StepSchedule", "BatchSchedule", "ValidationReport", "ConditionScan",
     "validate",
     "BatchDraw", "sample_batch", "apply_mini_batch", "iteration_rng",

@@ -5,8 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import OracleInfo, Problem
-from .mappings import (Halfspace, ProjectionFamily, QuadraticTerm,
-                       make_gradient_family)
+from .mappings import GradientFamily, Halfspace, ProjectionFamily, QuadraticTerm
 
 __all__ = [
     "two_halfspace_problem",
@@ -69,7 +68,9 @@ def random_quadratic_problem(n: int, dim: int, gen_seed: int,
     values drawn from ``sv_range``, keeping every ``A_i^T A_i`` well
     conditioned; targets ``b_i`` are standard Gaussian.  The anchor is the
     origin, so the anchored objective at the start is exactly zero and the
-    limit point is the unique minimizer of the averaged objective.
+    limit point is the unique minimizer of the averaged objective.  ``eta``
+    is passed to :class:`GradientFamily`; ``gen_seed`` alone fixes the
+    instance.
     """
     lo, hi = sv_range
     if not 0.0 < lo <= hi:
@@ -84,7 +85,7 @@ def random_quadratic_problem(n: int, dim: int, gen_seed: int,
                                    b=rng.standard_normal(dim)))
     terms = tuple(terms)
     return Problem(
-        family=make_gradient_family(terms, eta=eta, seed=gen_seed),
+        family=GradientFamily(terms, eta=eta),
         x0=np.zeros(dim),
         oracle_info=OracleInfo(kind="quadratic", data=terms),
         name=f"quadratic_n{n}_d{dim}",

@@ -390,13 +390,21 @@ def fit_rate(stats: EnsembleStats, window: tuple[int, int]) -> float:
     recorded points with ``k`` inside the window (``k >= 1``), applies a
     running minimum to ``|mean f0 - f0_star|``, and returns the least-squares
     slope of ``log(gap)`` against ``log(k)``.
+
+    A window in which the signed mean gap takes both signs is refused: the
+    running minimum of the magnitude collapses at the crossing and the slope
+    would be an artifact of it.
     """
     k_lo, k_hi = window
     sel = (stats.ks >= max(k_lo, 1)) & (stats.ks <= k_hi)
     ks = stats.ks[sel]
     if ks.size < 5:
         raise ValueError("need at least 5 recorded points in the fit window")
-    gaps = np.minimum.accumulate(np.abs(stats.f0gap_mean[sel]))
+    signed = stats.f0gap_mean[sel]
+    both = np.logical_or.accumulate(signed > 0) & np.logical_or.accumulate(signed < 0)
+    if both.any():
+        raise ValueError(f"mean gap changes sign in the fit window at k={ks[both.argmax()]}")
+    gaps = np.minimum.accumulate(np.abs(signed))
     if np.any(gaps <= 0.0):
         raise ValueError("gap below noise floor; shrink window")
     slope = np.polyfit(np.log(ks.astype(float)), np.log(gaps), 1)[0]

@@ -12,6 +12,8 @@ Two constructions are provided:
 Both are nonexpansive componentwise: halfspace projections are firmly
 nonexpansive, and the gradient steps are nonexpansive whenever
 ``eta <= 2 / L_i`` with ``L_i`` the largest eigenvalue of ``A_i^T A_i``.
+:class:`GradientFamily` computes ``L_max = max_i L_i`` exactly, by one
+batched eigensolve, and rejects any ``eta`` above ``2 / L_max``.
 The lambda-averaging combinator blends any family with the identity,
 which preserves the fixed point set and shrinks the componentwise spread
 by a factor ``(1 - lambda)``.
@@ -33,9 +35,7 @@ __all__ = [
     "ProjectionFamily",
     "QuadraticTerm",
     "GradientFamily",
-    "make_gradient_family",
     "AveragedFamily",
-    "power_iteration_largest_eig",
 ]
 
 
@@ -113,33 +113,17 @@ class ProjectionFamily(MappingFamily):
         return W.sum(axis=-1)[:, :, None] * X[:, None, :] - (W * coef[:, None, :]) @ self._A
 
 
-def power_iteration_largest_eig(mat: np.ndarray, seed: int = 0,
-                                tol: float = 1e-10, max_iter: int = 10_000) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(mat.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = mat @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v_new = w / nw
-        lam_new = float(v_new @ (mat @ v_new))
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            return lam_new
-        v, lam = v_new, lam_new
-    return lam
-
-
 @dataclass(frozen=True)
 class QuadraticTerm:
-    """Least-squares term ``f(x) = (1/2)||A x - b||^2`` with gradient ``A^T(Ax - b)``."""
+    """Least-squares term ``f(x) = (1/2)||A x - b||^2`` with gradient ``A^T(Ax - b)``.
+
+    ``A`` must have full column rank (smallest singular value above 1e-10),
+    so the averaged objective has a unique minimizer and the quadratic
+    oracle's fixed point set is a singleton.
+    """
 
     A: np.ndarray
     b: np.ndarray
-    check_rank: bool = True
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
@@ -148,13 +132,12 @@ class QuadraticTerm:
             raise ValueError("A must be (m, d) and b must be length m")
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
             raise ValueError("term data must be finite")
-        if self.check_rank:
-            smin = np.linalg.svd(A, compute_uv=False).min() if A.shape[0] >= A.shape[1] else 0.0
-            if smin <= 1e-10:
-                raise ValueError(
-                    "A must have full column rank (smallest singular value > 1e-10) "
-                    "for the singleton-oracle problem"
-                )
+        smin = np.linalg.svd(A, compute_uv=False).min() if A.shape[0] >= A.shape[1] else 0.0
+        if smin <= 1e-10:
+            raise ValueError(
+                "A must have full column rank (smallest singular value > 1e-10) "
+                "for the singleton-oracle problem"
+            )
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
 
@@ -162,18 +145,18 @@ class QuadraticTerm:
     def dim(self) -> int:
         return self.A.shape[1]
 
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.A.T @ (self.A @ x - self.b)
-
-    def lipschitz(self, seed: int = 0) -> float:
-        """Gradient Lipschitz constant: largest eigenvalue of ``A^T A``."""
-        return power_iteration_largest_eig(self.A.T @ self.A, seed=seed)
-
 
 class GradientFamily(MappingFamily):
-    """Family of gradient steps ``T_i = Id - eta * grad f_i`` on quadratic terms."""
+    """Family of gradient steps ``T_i = Id - eta * grad f_i`` on quadratic terms.
 
-    def __init__(self, terms: Sequence[QuadraticTerm], eta: float, l_max: float):
+    ``l_max = max_i lambda_max(A_i^T A_i)`` comes from one batched symmetric
+    eigensolve, exact to rounding.  ``eta="auto"`` resolves to ``1 / l_max``,
+    a safety margin inside the nonexpansivity region ``eta <= 2 / l_max``;
+    an explicit ``eta`` above ``2 / l_max`` raises
+    :class:`NonexpansivityError`, and a negative one ``ValueError``.
+    """
+
+    def __init__(self, terms: Sequence[QuadraticTerm], eta="auto"):
         if len(terms) == 0:
             raise ValueError("need at least one term")
         dim = terms[0].dim
@@ -182,11 +165,24 @@ class GradientFamily(MappingFamily):
                 raise ValueError("terms have mixed dimensions")
         super().__init__(dim=dim, n=len(terms), kind="gradient-mean")
         self.terms = tuple(terms)
-        self.eta = float(eta)
-        self.l_max = float(l_max)
+        grams = np.stack([t.A.T @ t.A for t in terms])
+        self.l_max = float(np.linalg.eigvalsh(grams)[:, -1].max())
+        if eta == "auto":
+            if self.l_max <= 0.0:
+                raise ValueError("auto step requires a nonzero term")
+            self.eta = 1.0 / self.l_max
+        else:
+            self.eta = float(eta)
+            if self.eta < 0.0:
+                raise ValueError("eta must be nonnegative")
+            if self.l_max > 0.0 and self.eta > 2.0 / self.l_max + 1e-15:
+                raise NonexpansivityError(
+                    f"nonexpansivity violated: eta={self.eta} exceeds "
+                    f"2/L_max={2.0 / self.l_max}"
+                )
         # stacked eta * A_i^T A_i and eta * A_i^T b_i, so each component is
         # T_i(x) = x - G_i x + h_i
-        self._G = self.eta * np.stack([t.A.T @ t.A for t in terms])
+        self._G = self.eta * grams
         self._h = self.eta * np.stack([t.A.T @ t.b for t in terms])
         self._G_rows = self._G.reshape(-1, dim)  # row i*d + r holds row r of G_i
 
@@ -200,43 +196,6 @@ class GradientFamily(MappingFamily):
         np.subtract(X[:, None, :], values, out=values)
         values += self._h
         return W @ values
-
-
-def make_gradient_family(terms: Sequence[QuadraticTerm], eta="auto",
-                         seed: int = 0) -> GradientFamily:
-    """Family with ``T_i = Id - eta * grad f_i`` over quadratic terms.
-
-    Parameters
-    ----------
-    terms : sequence of QuadraticTerm
-        The component objectives.
-    eta : float or "auto"
-        Step length.  ``"auto"`` computes ``L_max = max_i lambda_max(A_i^T A_i)``
-        by power iteration (tolerance 1e-10, at most 10_000 iterations) and
-        uses ``1 / L_max``, keeping a safety margin inside the nonexpansivity
-        region ``eta <= 2 / L_max``.
-    seed : int
-        Seed for the power-iteration start vectors.
-
-    Raises
-    ------
-    NonexpansivityError
-        If an explicit ``eta`` exceeds ``2 / L_max``.
-    """
-    l_max = max(t.lipschitz(seed=seed + i) for i, t in enumerate(terms))
-    if eta == "auto":
-        if l_max <= 0.0:
-            raise ValueError("auto step requires a nonzero term")
-        eta_val = 1.0 / l_max
-    else:
-        eta_val = float(eta)
-        if eta_val < 0.0:
-            raise ValueError("eta must be nonnegative")
-        if l_max > 0.0 and eta_val > 2.0 / l_max + 1e-15:
-            raise NonexpansivityError(
-                f"nonexpansivity violated: eta={eta_val} exceeds 2/L_max={2.0 / l_max}"
-            )
-    return GradientFamily(terms, eta_val, l_max)
 
 
 class AveragedFamily(MappingFamily):

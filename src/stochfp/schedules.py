@@ -276,7 +276,7 @@ def poly_step_sum_lower_bound(a: float, horizon: int) -> float:
 
 def lambda_poly_sq_sum_bound(a: float, lam: float, horizon: int) -> float:
     """Closed-form upper bound for the squared-step partial sum of lambda_poly."""
-    scale = (2.0 * lam - 1.0) ** 2 / (4.0 * (1.0 - lam) ** 2)
+    scale = _lambda_step_cap(lam) ** 2
     if a < 0.5:
         tail = horizon ** (1.0 - 2.0 * a) / (1.0 - 2.0 * a)
     elif a == 0.5:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stochfp import (CallableFamily, DimensionMismatchError, as_point,
-                     f0_value, make_gradient_family, ProjectionFamily,
+                     f0_value, GradientFamily, ProjectionFamily,
                      two_halfspace_problem, random_quadratic_problem,
                      Halfspace, QuadraticTerm)
 
@@ -95,7 +95,7 @@ def _builtin_families():
     yield "projection_6x4", ProjectionFamily(halfspaces)
     terms = [QuadraticTerm(A=rng.standard_normal((5, 3)), b=rng.standard_normal(5))
              for _ in range(4)]
-    yield "gradient_4x3", make_gradient_family(terms, eta="auto")
+    yield "gradient_4x3", GradientFamily(terms, eta="auto")
     yield "quadratic_bench", random_quadratic_problem(12, 6, gen_seed=2).family
 
 

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -123,8 +124,8 @@ def test_oracle_quadratic_zero_targets():
 
 
 def test_oracle_quadratic_singular_system():
-    t = QuadraticTerm(A=np.array([[1.0, 0.0], [2.0, 0.0]]), b=np.zeros(2),
-                      check_rank=False)
+    # QuadraticTerm rejects a rank-deficient A, so the oracle gets a stand-in
+    t = SimpleNamespace(A=np.array([[1.0, 0.0], [2.0, 0.0]]), b=np.zeros(2), dim=2)
     with pytest.raises(OracleError, match="feasibility family"):
         oracle_quadratic([t], [1.0, 1.0])
 
@@ -222,6 +223,11 @@ def test_fit_rate_errors():
     small = _synthetic_stats((ks**-0.5), ks)
     with pytest.raises(ValueError, match="at least 5"):
         fit_rate(small, (1, 4))
+    # the signed gap crosses zero between k=41 and k=42: the running minimum
+    # of |gap| would collapse there, so no slope is fitted
+    crossing = _synthetic_stats(-(ks**-0.5) + 0.155, ks)
+    with pytest.raises(ValueError, match="changes sign in the fit window at k=42"):
+        fit_rate(crossing, (10, 100))
 
 
 def test_predicted_rate_exponent_cases():

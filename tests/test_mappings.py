@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from stochfp import (AveragedFamily, Halfspace, NonexpansivityError,
-                     ProjectionFamily, QuadraticTerm, make_gradient_family,
-                     project_halfspace, resolve_oracle, two_halfspace_problem)
+from stochfp import (AveragedFamily, GradientFamily, Halfspace,
+                     NonexpansivityError, ProjectionFamily, QuadraticTerm,
+                     project_halfspace, random_quadratic_problem, resolve_oracle,
+                     two_halfspace_problem)
 
 
 def test_halfspace_rejects_zero_normal():
@@ -80,7 +81,7 @@ def test_projection_family_rejects_bad_input():
 
 def test_gradient_family_single_term_full_step():
     term = QuadraticTerm(A=np.array([[1.0]]), b=np.array([0.0]))
-    fam = make_gradient_family([term], eta=1.0)
+    fam = GradientFamily([term], eta=1.0)
     for x in ([-3.0], [0.0], [7.5]):
         np.testing.assert_allclose(fam.mean(x), [0.0], atol=1e-15)
 
@@ -88,7 +89,7 @@ def test_gradient_family_single_term_full_step():
 def test_gradient_family_zero_step_is_identity():
     term = QuadraticTerm(A=np.array([[2.0, 0.0], [0.0, 1.0]]),
                          b=np.array([1.0, 1.0]))
-    fam = make_gradient_family([term], eta=0.0)
+    fam = GradientFamily([term], eta=0.0)
     x = np.array([0.3, -2.0])
     np.testing.assert_allclose(fam.mean(x), x)
 
@@ -99,7 +100,7 @@ def test_gradient_family_two_identity_terms():
     # normal equations (sum A_i^T A_i) x = sum A_i^T b_i
     terms = [QuadraticTerm(A=np.eye(2), b=np.array([1.0, 0.0])),
              QuadraticTerm(A=np.eye(2), b=np.array([0.0, 1.0]))]
-    fam = make_gradient_family(terms, eta=1.0)
+    fam = GradientFamily(terms, eta=1.0)
     rng = np.random.default_rng(0)
     expected = np.linalg.solve(2 * np.eye(2), np.array([1.0, 1.0]))
     for _ in range(5):
@@ -111,15 +112,15 @@ def test_gradient_family_two_identity_terms():
 def test_gradient_family_eta_too_large_rejected():
     term = QuadraticTerm(A=np.array([[2.0]]), b=np.array([0.0]))  # L = 4
     with pytest.raises(NonexpansivityError, match="nonexpansivity violated"):
-        make_gradient_family([term], eta=0.6)
-    make_gradient_family([term], eta=0.5)  # exactly 2/L is allowed
+        GradientFamily([term], eta=0.6)
+    GradientFamily([term], eta=0.5)  # exactly 2/L is allowed
 
 
 def test_gradient_family_auto_eta_componentwise_nonexpansive():
     rng = np.random.default_rng(9)
     terms = [QuadraticTerm(A=rng.standard_normal((4, 3)), b=rng.standard_normal(4))
              for _ in range(3)]
-    fam = make_gradient_family(terms, eta="auto")
+    fam = GradientFamily(terms, eta="auto")
     for _ in range(1000):
         x = rng.standard_normal(3) * 3
         y = rng.standard_normal(3) * 3
@@ -131,8 +132,21 @@ def test_gradient_family_auto_eta_componentwise_nonexpansive():
 def test_quadratic_term_rank_check():
     with pytest.raises(ValueError, match="full column rank"):
         QuadraticTerm(A=np.array([[1.0, 1.0], [1.0, 1.0]]), b=np.array([0.0, 0.0]))
-    QuadraticTerm(A=np.array([[1.0, 1.0], [1.0, 1.0]]), b=np.zeros(2),
-                  check_rank=False)  # escape hatch for oracle error tests
+
+
+def test_gradient_family_l_max_is_exact():
+    terms = random_quadratic_problem(50, 10, 3).oracle_info.data
+    fam = GradientFamily(terms)
+    exact = max(np.linalg.norm(t.A, 2) ** 2 for t in terms)
+    assert fam.l_max == pytest.approx(exact, rel=1e-13)
+    assert fam.eta == 1.0 / fam.l_max
+
+
+def test_gradient_family_rejects_eta_just_above_exact_bound():
+    terms = random_quadratic_problem(50, 10, 3).oracle_info.data
+    exact = max(np.linalg.norm(t.A, 2) ** 2 for t in terms)
+    with pytest.raises(NonexpansivityError, match="nonexpansivity violated"):
+        GradientFamily(terms, eta=(2.0 / exact) * (1.0 + 1e-12))
 
 
 def _family_variance(family, x):
