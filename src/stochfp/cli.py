@@ -6,7 +6,7 @@ coupling conditions, runs a seeded Monte-Carlo ensemble, and writes a trace
 CSV plus a human-readable summary.
 
 Exit codes: 0 success, 1 config error, 2 oracle failure, 3 diverged run
-(the offending seed is reported), 4 validation failure (``validate`` only).
+(the master seed and failing trial are reported), 4 failed ``validate``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .diagnostics import (averaged_rate_bound, default_probes, ensemble,
                           resolve_oracle, theorem_constants)
 from .mappings import Halfspace, ProjectionFamily
 from .schedules import BatchSchedule, StepSchedule, ValidationReport, validate
-from .solvers import METHODS, SolverConfig
+from .solvers import FieldError, SolverConfig
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config",
            "run_experiment", "validate_only", "main"]
@@ -248,8 +248,6 @@ def parse_config(path: str) -> ExperimentConfig:
     method = msec.get("name", str, required=True).lower()
     lam = msec.get("lambda", float)
     msec.reject_unused()
-    if method not in METHODS:
-        raise ConfigError(f"{path}: [method] name must be one of {METHODS}")
 
     rsec = _Section(path, "run", sections["run"])
     iterations = rsec.get("iterations", int, required=True)
@@ -270,8 +268,9 @@ def parse_config(path: str) -> ExperimentConfig:
         solver = SolverConfig(method=method, step=step, batch=batch,
                               iterations=iterations, seed=seed,
                               record_every=record_every, lam=lam)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    except FieldError as exc:  # a field with no line of its own cites the method
+        hit = rsec._find(exc.field) or msec._find(exc.field) or msec._find("name")
+        raise ConfigError(f"{path}:{hit[0]}: {exc}") from exc
     return ExperimentConfig(problem=problem, solver=solver, trials=trials,
                             prefix=prefix, fit_window=(fit_lo, fit_hi),
                             source=path)
@@ -441,7 +440,7 @@ def run_experiment(config_path: str, trials: int | None = None,
     try:
         stats = ensemble(cfg.problem, cfg.solver, cfg.trials)
     except DivergenceError as exc:
-        print(f"diverged run: {exc} (trial seed {exc.seed})", file=sys.stderr)
+        print(f"diverged run: {exc}", file=sys.stderr)
         return 3
 
     sigma_sq, constants = _constants(cfg, oracle)

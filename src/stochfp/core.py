@@ -35,11 +35,12 @@ class DimensionMismatchError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """An iterate left the finite range; carries the offending seed and step."""
+    """An iterate left the finite range; carries the master seed, trial index and step."""
 
-    def __init__(self, message: str, seed: int | None = None, step: int | None = None):
+    def __init__(self, message: str, seed: int, trial: int, step: int):
         super().__init__(message)
         self.seed = seed
+        self.trial = trial
         self.step = step
 
 
@@ -232,7 +233,7 @@ class RunRecord:
 
 @dataclass
 class EnsembleStats:
-    """Monte-Carlo aggregates over independent trials of one configuration.
+    """Monte-Carlo aggregates over trials ``0..trial_count-1`` of one configuration's master seed.
 
     Arrays are aligned with ``ks``.  ``f0gap_*`` is the signed gap
     ``mean f0(x_k) - f0_star`` when an oracle is available (raw ``f0``
@@ -255,7 +256,6 @@ class EnsembleStats:
     trial_count: int
     f0_star: float
     x_star: np.ndarray | None
-    trial_seeds: np.ndarray
 
     def __post_init__(self):
         if self.trial_count < 2:

@@ -331,23 +331,19 @@ def _mean_se(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def ensemble(problem: Problem, cfg: SolverConfig, trials: int) -> EnsembleStats:
-    """Aggregate ``trials`` independent seeded runs of one configuration.
+    """Aggregate ``trials`` independent runs of one configuration.
 
-    Per-trial seeds are the 64-bit words of
-    ``SeedSequence(cfg.seed).generate_state(trials)``, so the seed of trial
-    ``i`` is the same for every ``trials >= i + 1``.  All trials advance
-    together in one ``(trials, d)`` state, each drawing from its own seed's
-    stream; trial ``i``'s draws are therefore identical for every trial
-    count, and its trajectory agrees with a lone :func:`run` on its seed to
-    floating-point rounding.  A non-finite iterate aborts the ensemble with
-    the seed of the first trial that left the finite range, at the earliest
-    such iteration.
+    All trials advance together in one ``(trials, d)`` state.  Trial ``i``
+    takes row ``i`` of each iteration's batch draw on master seed
+    ``cfg.seed``, so its draws are identical for every ``trials > i`` (its
+    trajectory to rounding), and trial 0 is :func:`run`.  A non-finite
+    iterate aborts the ensemble with the master seed and the lowest-numbered
+    trial that left the finite range, at the earliest such iteration.
     """
     if trials < 2:
         raise ValueError("ensembles need at least two trials")
 
-    trial_seeds = np.random.SeedSequence(cfg.seed).generate_state(trials, np.uint64)
-    trace = _run_trials(problem, cfg, trial_seeds)
+    trace = _run_trials(problem, cfg, trials)
     x_star = None
     f0_star = 0.0
     if problem.oracle_info is not None:
@@ -377,7 +373,6 @@ def ensemble(problem: Problem, cfg: SolverConfig, trials: int) -> EnsembleStats:
         trial_count=trials,
         f0_star=f0_star,
         x_star=x_star,
-        trial_seeds=trial_seeds,
     )
 
 

@@ -9,12 +9,12 @@ outputs.  Changing the batch size at one iteration therefore never perturbs
 the draws at any other iteration, and identical ``(seed, k, n, b)`` always
 reproduce the same draw bit for bit.
 
-A mini-batch of size ``b`` is the multiplicity vector
-``iteration_rng(seed, k).multinomial(b, [1/n] * n)``, identical in law to
-counting ``b`` uniform index draws.  :func:`sample_batch` and the solvers
-share this one definition: the solvers' :class:`TrialStreams` move one
-generator per trial to iteration ``k`` in place instead of building a new
-one, and draw exactly what a fresh ``iteration_rng(seed, k)`` draws.
+The mini-batches of ``T`` trials at iteration ``k`` are one draw,
+``iteration_rng(seed, k).multinomial(b, [1/n] * n, size=T)``: row ``t`` is
+trial ``t``'s multiplicity vector, identical in law to counting ``b``
+uniform index draws, and the same for every ``T > t``.  The solvers and
+:func:`sample_batch` (which expands row 0) share this one definition,
+:class:`BatchStream`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import MappingFamily, as_point
 
-__all__ = ["iteration_rng", "TrialStreams", "BatchDraw", "sample_batch",
+__all__ = ["iteration_rng", "BatchStream", "BatchDraw", "sample_batch",
            "apply_mini_batch"]
 
 
@@ -34,29 +34,25 @@ def iteration_rng(seed: int, k: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=(0, k, 0, 0)))
 
 
-class TrialStreams:
-    """The iteration streams of several trial seeds, one reusable generator each.
+class BatchStream:
+    """The batch draws of every trial on the stream ``seed``, on one reusable generator.
 
-    :meth:`draw` resets each generator's counter to iteration ``k`` through
-    ``bit_generator.state`` (which also empties its output buffer), so row
-    ``t`` of a draw equals ``iteration_rng(seeds[t], k).multinomial(b, pvals)``
-    bit for bit.  A trial's draws depend only on its own seed, never on the
-    other seeds or on their number.
+    :meth:`draw` resets the counter to ``(0, k, 0, 0)`` and empties the output
+    buffer, so it returns ``iteration_rng(seed, k).multinomial(b, [1/n] * n,
+    size=trials)`` bit for bit, whatever iterations were drawn before.
     """
 
-    def __init__(self, seeds, n: int):
-        self._gens = [iteration_rng(int(s), 0) for s in seeds]
+    def __init__(self, seed: int, n: int):
+        self._gen = iteration_rng(seed, 0)
         # a fresh generator's state: empty output buffer, counter (0, 0, 0, 0)
-        self._states = [g.bit_generator.state for g in self._gens]
+        self._state = self._gen.bit_generator.state
         self._pvals = np.full(n, 1.0 / n)
 
-    def draw(self, k: int, b: int, out: np.ndarray) -> None:
-        """Write each trial's multiplicity vector of iteration ``k`` into row ``t`` of ``out``."""
-        pvals = self._pvals
-        for t, (gen, state) in enumerate(zip(self._gens, self._states)):
-            state["state"]["counter"][1] = k
-            gen.bit_generator.state = state
-            out[t] = gen.multinomial(b, pvals)
+    def draw(self, k: int, b: int, trials: int) -> np.ndarray:
+        """The ``(trials, n)`` multiplicity vectors of iteration ``k``; row ``t`` is trial ``t``."""
+        self._state["state"]["counter"][1] = k
+        self._gen.bit_generator.state = self._state
+        return self._gen.multinomial(b, self._pvals, size=trials)
 
 
 @dataclass(frozen=True)
@@ -91,16 +87,16 @@ class BatchDraw:
 
 
 def sample_batch(seed: int, k: int, n: int, b: int) -> BatchDraw:
-    """The solvers' draw at iteration ``k`` of stream ``seed``, as ``b`` indices on ``[1, n]``.
+    """Trial 0's draw at iteration ``k`` of stream ``seed``, as ``b`` indices on ``[1, n]``.
 
-    The multiplicity vector ``iteration_rng(seed, k).multinomial(b, 1/n)``
-    is expanded to index-ascending indices, so ``counts()`` returns exactly
-    the counts a solver run with trial seed ``seed`` uses at iteration ``k``.
-    Distinct iterations or distinct seeds give independent draws.
+    Row 0 of :meth:`BatchStream.draw` is expanded to index-ascending
+    indices, so ``counts()`` returns exactly the counts that trial 0 of a
+    solver run on master seed ``seed`` uses at iteration ``k``.  Distinct
+    iterations or distinct seeds give independent draws.
     """
     if n < 1 or b < 1:
         raise ValueError("n and b must be >= 1")
-    counts = iteration_rng(seed, k).multinomial(b, np.full(n, 1.0 / n))
+    counts = BatchStream(seed, n).draw(k, b, 1)[0]
     return BatchDraw(indices=np.repeat(np.arange(1, n + 1), counts), n=n, k=k, seed=seed)
 
 

@@ -19,9 +19,10 @@ metrics.  Runs are deterministic given the seed.
 
 One engine runs every trial: ``T`` trials advance together in a ``(T, d)``
 state and write ``(T, L)`` record arrays.  :func:`run` is its ``T = 1``
-case and :func:`stochfp.diagnostics.ensemble` reduces its rows.  Trial
-``t`` draws iteration ``k``'s batch from its own counter-based stream
-(:mod:`stochfp.sampling`), so its draws do not depend on the other trials.
+case and :func:`stochfp.diagnostics.ensemble` reduces its rows.  Iteration
+``k`` of all trials is one draw on the master seed's counter-based stream
+(:mod:`stochfp.sampling`); trial ``t`` takes row ``t``, so its draws do not
+depend on the number of trials.
 The schedules are precomputed arrays, the step-size ranges are checked once
 before the loop, and the whole state is checked for non-finite values after
 every step.
@@ -29,20 +30,29 @@ every step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import DivergenceError, Problem, RunRecord, as_point
 from .mappings import AveragedFamily
-from .sampling import TrialStreams
+from .sampling import BatchStream
 from .schedules import BatchSchedule, StepSchedule, _lambda_step_cap
 
-__all__ = ["METHODS", "STOCHASTIC_METHODS", "SolverConfig",
+__all__ = ["METHODS", "STOCHASTIC_METHODS", "FieldError", "SolverConfig",
            "halpern_step", "km_step", "run"]
 
 METHODS = ("km", "halpern", "stoch_km", "stoch_halpern", "stoch_halpern_lambda")
 STOCHASTIC_METHODS = ("stoch_km", "stoch_halpern", "stoch_halpern_lambda")
+
+
+class FieldError(ValueError):
+    """A :class:`SolverConfig` field is out of range; ``field`` is its config-file key."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
 
 
 @dataclass(frozen=True)
@@ -65,20 +75,20 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
+            raise FieldError("method", f"unknown method {self.method!r}; choose from {METHODS}")
         if not 0 <= self.seed < 2**128:
-            raise ValueError(f"seed must lie in [0, 2**128), got {self.seed}")
+            raise FieldError("seed", f"seed must lie in [0, 2**128), got {self.seed}")
         if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+            raise FieldError("iterations", "iterations must be >= 1")
         if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
+            raise FieldError("record_every", "record_every must be >= 1")
         if self.method == "stoch_halpern_lambda":
             if self.lam is None or not 0.5 < self.lam <= 0.75:
-                raise ValueError("stoch_halpern_lambda requires lambda in (1/2, 3/4]")
+                raise FieldError("lambda", "stoch_halpern_lambda requires lambda in (1/2, 3/4]")
         elif self.lam is not None:
-            raise ValueError("lambda is only meaningful for stoch_halpern_lambda")
+            raise FieldError("lambda", "lambda is only meaningful for stoch_halpern_lambda")
         if self.method in STOCHASTIC_METHODS and self.batch is None:
-            raise ValueError(f"{self.method} requires a batch schedule")
+            raise FieldError("batch", f"{self.method} requires a batch schedule")
 
     @property
     def stochastic(self) -> bool:
@@ -147,17 +157,17 @@ class _Trace:
 def run(problem: Problem, cfg: SolverConfig) -> RunRecord:
     """Execute ``cfg.iterations`` steps of the selected rule on ``problem``.
 
-    The single trial runs on the trial seed ``cfg.seed``; this is the ``T = 1``
-    case of the engine behind :func:`stochfp.diagnostics.ensemble`.  Records,
+    The run is trial 0 of master seed ``cfg.seed``: the ``T = 1`` case of
+    the engine behind :func:`stochfp.diagnostics.ensemble`.  Records,
     at stride ``cfg.record_every`` plus the final iterate: the residual
     ``||x_k - T(x_k)||`` against the exact family mean, the anchor objective
     ``(1/2)||x_k - x0||^2``, the squared distance to the oracle point (when
     the problem carries oracle data), the squared distance of the sampled
     image to the oracle point, and the step norm ``||x_{k+1} - x_k||``.
-    Raises :class:`DivergenceError` with the seed and iteration if an
-    iterate leaves the finite range.
+    Raises :class:`DivergenceError` with the master seed, trial 0 and the
+    iteration if an iterate leaves the finite range.
     """
-    trace = _run_trials(problem, cfg, [cfg.seed])
+    trace = _run_trials(problem, cfg, 1)
     return RunRecord(
         ks=trace.ks,
         alphas=trace.alphas,
@@ -173,22 +183,23 @@ def run(problem: Problem, cfg: SolverConfig) -> RunRecord:
     )
 
 
-def _run_trials(problem: Problem, cfg: SolverConfig, seeds) -> _Trace:
-    """Validate once, resolve the oracle point, and run one trial per seed."""
+def _run_trials(problem: Problem, cfg: SolverConfig, trials: int) -> _Trace:
+    """Validate once, resolve the oracle point, and run trials ``0..trials-1``."""
     _validate_run(problem, cfg)
     x_star = None
     if problem.oracle_info is not None:
         from .diagnostics import resolve_oracle  # deferred: diagnostics imports solvers
 
         x_star = resolve_oracle(problem).x_star
-    return _iterate(problem, cfg, seeds, x_star=x_star)
+    return _iterate(problem, cfg, trials, x_star=x_star)
 
 
-def _iterate(problem: Problem, cfg: SolverConfig, seeds,
+def _iterate(problem: Problem, cfg: SolverConfig, trials: int,
              x_star: np.ndarray | None) -> _Trace:
     """The iteration engine: all trials in one ``(T, d)`` state, ``k = 0..K``.
 
-    Trial ``t`` draws its batches from the stream ``seeds[t]``.  Each
+    Trial ``t`` takes row ``t`` of each iteration's batch draw on the stream
+    ``cfg.seed``.  Each
     iteration makes one :meth:`MappingFamily.weighted_mean` call whose weight
     rows are the uniform ``1/n`` (the exact mean, only on record rows of the
     stochastic methods) and ``counts / b_k`` (the sampled mean).
@@ -202,7 +213,6 @@ def _iterate(problem: Problem, cfg: SolverConfig, seeds,
         family = AveragedFamily(family, cfg.lam)
     x0 = problem.x0
     n = family.n
-    trials = len(seeds)
     anchored = cfg.method in ("halpern", "stoch_halpern", "stoch_halpern_lambda")
     stochastic = cfg.stochastic
     iterations, stride = cfg.iterations, cfg.record_every
@@ -224,8 +234,7 @@ def _iterate(problem: Problem, cfg: SolverConfig, seeds,
     weights = np.full((trials, 2, n), 1.0 / n)  # rows: exact mean, counts / b_k
     exact, sampled = weights[:, :1], weights[:, 1:]
     if stochastic:
-        streams = TrialStreams(seeds, n)
-        counts = np.empty((trials, n), dtype=np.int64)
+        stream = BatchStream(cfg.seed, n)
 
     x = np.tile(x0, (trials, 1))
     row = 0
@@ -235,8 +244,7 @@ def _iterate(problem: Problem, cfg: SolverConfig, seeds,
             means = family.weighted_mean(x, exact)
         else:
             b = batch_list[k]
-            streams.draw(k, b, counts)
-            np.divide(counts, b, out=sampled[:, 0])
+            np.divide(stream.draw(k, b, trials), b, out=sampled[:, 0])
             means = family.weighted_mean(x, weights if rec else sampled)
         if rec:
             np.subtract(x, means[:, 0], out=diffs[0])
@@ -253,10 +261,11 @@ def _iterate(problem: Problem, cfg: SolverConfig, seeds,
             x_next = (1.0 - alpha) * x + alpha * t_val
         if not np.isfinite(x_next).all():
             bad = int(np.argmin(np.isfinite(x_next).all(axis=1)))
-            seed = int(seeds[bad])
+            batch = f", b_k = {batch_list[k]}" if stochastic else ""
             raise DivergenceError(
-                f"non-finite iterate at k={k + 1} (seed {seed})", seed=seed, step=k + 1
-            )
+                f"non-finite iterate at k={k + 1} in trial {bad} of master seed {cfg.seed} "
+                f"(alpha_k = {alpha:.6g}{batch}, ||x_k|| = {math.hypot(*x[bad]):.6g} at k={k})",
+                seed=cfg.seed, trial=bad, step=k + 1)
         if rec:
             np.subtract(t_val, refs[1], out=diffs[3])
             np.subtract(x_next, x, out=diffs[4])

@@ -1,10 +1,10 @@
 """Plain per-trial reference for the solver engine.
 
 One trial, one point at a time: every component through ``eval_all``, the
-exact mean as their average, the sampled mean from a fresh
-``iteration_rng(seed, k)`` per iteration, the schedules through ``.at(k)``,
-and the public ``halpern_step`` / ``km_step`` updates.  It records the same
-fields as :class:`stochfp.RunRecord`.
+exact mean as their average, the sampled mean from row ``trial`` of a fresh
+``iteration_rng(seed, k)`` draw per iteration, the schedules through
+``.at(k)``, and the public ``halpern_step`` / ``km_step`` updates.  It
+records the same fields as :class:`stochfp.RunRecord`.
 """
 
 import numpy as np
@@ -14,8 +14,8 @@ from stochfp import halpern_step, iteration_rng, km_step
 ANCHORED = ("halpern", "stoch_halpern", "stoch_halpern_lambda")
 
 
-def reference_run(problem, cfg, x_star=None):
-    """Recorded fields of one trial on seed ``cfg.seed``, as a dict of arrays."""
+def reference_run(problem, cfg, x_star=None, trial=0):
+    """Recorded fields of trial ``trial`` on master seed ``cfg.seed``, as a dict of arrays."""
     family, x0 = problem.family, problem.x0
     n, iterations, stride = family.n, cfg.iterations, cfg.record_every
     pvals = np.full(n, 1.0 / n)
@@ -35,7 +35,7 @@ def reference_run(problem, cfg, x_star=None):
             break
         if cfg.stochastic:
             b = cfg.batch.at(k)
-            counts = iteration_rng(cfg.seed, k).multinomial(b, pvals)
+            counts = iteration_rng(cfg.seed, k).multinomial(b, pvals, size=trial + 1)[trial]
             t_val = (counts / b) @ values
         else:
             t_val = t_exact

@@ -138,6 +138,19 @@ def test_config_errors_exit_1(tmp_path, capsys, mutation, fragment):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mutation, fragment, cited", [
+    ("seed = 99", "seed = -1", "seed = -1"),
+    ("name = halpern", "name = halpern\nlambda = 0.6", "lambda = 0.6"),
+    ("name = halpern", "name = stoch_halpern", "name = stoch_halpern"),
+], ids=["seed_range", "stray_lambda", "missing_batch"])
+def test_solver_config_errors_cite_the_line(tmp_path, capsys, mutation, fragment, cited):
+    text = MINIMAL.format(prefix=tmp_path / "x").replace(mutation, fragment)
+    cfg = _write(tmp_path, text)
+    assert cli.run_experiment(cfg) == 1
+    lineno = text.splitlines().index(cited) + 1
+    assert f"config error: {cfg}:{lineno}: " in capsys.readouterr().err
+
+
 def test_seed_override_out_of_range_exit_1(tmp_path, capsys):
     cfg = _write(tmp_path, MINIMAL.format(prefix=tmp_path / "x"))
     assert cli.main(["run", cfg, "--seed", "-1"]) == 1
@@ -188,12 +201,13 @@ def test_diverged_run_exit_3(tmp_path, capsys, monkeypatch):
     cfg = _write(tmp_path, MINIMAL.format(prefix=tmp_path / "x"))
 
     def explode(*args, **kwargs):
-        raise DivergenceError("non-finite iterate at k=5 (seed 42)", seed=42, step=5)
+        raise DivergenceError("non-finite iterate at k=5 in trial 0 of master seed 42",
+                              seed=42, trial=0, step=5)
 
     monkeypatch.setattr(cli, "ensemble", explode)
     assert cli.run_experiment(cfg) == 3
     err = capsys.readouterr().err
-    assert "diverged" in err and "42" in err
+    assert err == "diverged run: non-finite iterate at k=5 in trial 0 of master seed 42\n"
 
 
 VALIDATE_OK = """\

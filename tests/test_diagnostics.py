@@ -12,7 +12,7 @@ from stochfp import (BatchSchedule, EnsembleStats, Halfspace, OracleError,
                      run, sample_ball, theorem_constants, two_halfspace_problem)
 from stochfp import (CallableFamily, random_halfspace_problem,
                      random_quadratic_problem)
-from stochfp.sampling import TrialStreams
+from stochfp.sampling import BatchStream
 from stochfp.solvers import _run_trials
 from grid_oracle import grid_project
 
@@ -193,7 +193,6 @@ def _synthetic_stats(gaps, ks):
         msq_dist_mean=None, msq_dist_se=None,
         batch_msq_mean=None, batch_msq_se=None,
         step_norm_mean=z, trial_count=2, f0_star=0.0, x_star=None,
-        trial_seeds=np.zeros(2, dtype=np.uint64),
     )
 
 
@@ -263,16 +262,18 @@ def test_ensemble_trials_depend_only_on_their_seed(twohalf_problem):
     cfg = SolverConfig(method="stoch_halpern", step=StepSchedule.poly(0.5),
                        batch=BatchSchedule.exponential(4, 1.05, cap=512),
                        iterations=200, seed=77, record_every=20)
-    a = ensemble(twohalf_problem, cfg, trials=5)
-    b = ensemble(twohalf_problem, cfg, trials=8)
-    np.testing.assert_array_equal(a.trial_seeds, b.trial_seeds[:5])
-    for stats in (a, b):
-        runs = [run(twohalf_problem, replace(cfg, seed=int(s)))
-                for s in stats.trial_seeds]
-        for field, mean in (("residuals", stats.residual_mean),
-                            ("dist_sq", stats.msq_dist_mean)):
-            expect = np.mean([getattr(r, field) for r in runs], axis=0)
-            np.testing.assert_allclose(mean, expect, rtol=1e-13, atol=0.0)
+    # trial t of T=5 is trial t of T=8, and a lone run is trial 0 of both
+    few = ensemble(twohalf_problem, cfg, trials=5)
+    many = _run_trials(twohalf_problem, cfg, 8)
+    for field, mean in (("residuals", few.residual_mean),
+                        ("dist_sq", few.msq_dist_mean)):
+        expect = getattr(many, field)[:5].mean(axis=0)
+        np.testing.assert_allclose(mean, expect, rtol=1e-13, atol=0.0)
+    lone = run(twohalf_problem, cfg)
+    for trace in (_run_trials(twohalf_problem, cfg, 5), many):
+        for field in ("residuals", "dist_sq"):
+            np.testing.assert_allclose(getattr(lone, field), getattr(trace, field)[0],
+                                       rtol=1e-13, atol=0.0, err_msg=field)
 
 
 def test_trial_draws_and_rows_do_not_depend_on_trial_count():
@@ -282,17 +283,12 @@ def test_trial_draws_and_rows_do_not_depend_on_trial_count():
     cfg = SolverConfig(method="stoch_halpern", step=StepSchedule.poly(0.5),
                        batch=BatchSchedule.exponential(4, 1.05, cap=512),
                        iterations=150, seed=31, record_every=7)
-    seeds = np.random.SeedSequence(cfg.seed).generate_state(6, np.uint64)
-    few, many = TrialStreams(seeds[:3], 12), TrialStreams(seeds, 12)
-    out3 = np.empty((3, 12), dtype=np.int64)
-    out6 = np.empty((6, 12), dtype=np.int64)
+    stream = BatchStream(cfg.seed, 12)
     for k in (0, 1, 77, 149):
         b = cfg.batch.at(k)
-        few.draw(k, b, out3)
-        many.draw(k, b, out6)
-        np.testing.assert_array_equal(out3, out6[:3])
-    a = _run_trials(problem, cfg, seeds[:3])
-    b = _run_trials(problem, cfg, seeds)
+        np.testing.assert_array_equal(stream.draw(k, b, 3), stream.draw(k, b, 6)[:3])
+    a = _run_trials(problem, cfg, 3)
+    b = _run_trials(problem, cfg, 6)
     for field in ("residuals", "f0_values", "dist_sq", "batch_dist_sq", "step_norms"):
         np.testing.assert_allclose(getattr(a, field), getattr(b, field)[:3],
                                    rtol=1e-13, atol=0.0, err_msg=field)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stochfp import (BatchDraw, CallableFamily, apply_mini_batch,
                      iteration_rng, sample_batch, two_halfspace_problem)
-from stochfp.sampling import TrialStreams
+from stochfp.sampling import BatchStream
 
 
 def test_single_component_always_index_one():
@@ -49,27 +51,44 @@ def test_batch_size_change_does_not_perturb_other_iterations():
     assert np.array_equal(before.indices, after.indices)
 
 
-@pytest.mark.parametrize("n, b", [(2, 1), (7, 1000), (300, 64)])
-def test_counter_reset_draws_what_a_fresh_generator_draws(n, b):
-    # the engine moves one generator per trial between iterations, in any
-    # order, and must reproduce iteration_rng(seed, k) bit for bit
-    seeds = [0, 99, 2**64 - 1]
-    streams = TrialStreams(seeds, n)
-    out = np.empty((len(seeds), n), dtype=np.int64)
-    for k in (5, 0, 17, 5, 2**40, 1):
-        streams.draw(k, b, out)
-        for row, seed in zip(out, seeds):
-            fresh = iteration_rng(seed, k).multinomial(b, np.full(n, 1.0 / n))
-            np.testing.assert_array_equal(row, fresh)
+_trial_counts = st.integers(1, 7).flatmap(
+    lambda t: st.tuples(st.just(t), st.integers(t + 1, 8)))
+_COUNTER_RESET_KS = [5, 0, 17, 5, 2**40, 1]
+
+
+def _counter_reset_examples(test):
+    # the fixed cases of the former per-seed counter-reset test
+    for n, b in ((2, 1), (7, 1000), (300, 64)):
+        for seed in (0, 99, 2**64 - 1):
+            test = example(seed=seed, ks=_COUNTER_RESET_KS, n=n, b=b,
+                           trials=(3, 8))(test)
+    return test
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**128 - 1),
+       ks=st.lists(st.integers(0, 2**40), min_size=1, max_size=6),
+       n=st.integers(1, 300), b=st.integers(1, 10**6), trials=_trial_counts)
+@_counter_reset_examples
+def test_stream_draws_are_rows_of_a_fresh_generator_draw(seed, ks, n, b, trials):
+    # one stream object visits the iterations in any order; each draw is the
+    # size-T multinomial of a fresh iteration_rng(seed, k), bit for bit, and
+    # its first T rows do not depend on how many trials are drawn
+    few, many = trials
+    stream = BatchStream(seed, n)
+    for k in ks:
+        rows = stream.draw(k, b, few)
+        np.testing.assert_array_equal(rows, stream.draw(k, b, many)[:few])
+        fresh = iteration_rng(seed, k).multinomial(b, np.full(n, 1.0 / n), size=few)
+        np.testing.assert_array_equal(rows, fresh)
+        assert rows.shape == (few, n) and np.all(rows.sum(axis=1) == b)
 
 
 def test_sample_batch_is_the_solver_draw():
-    # sample_batch expands the solver's multiplicity vector to ascending indices
+    # sample_batch expands row 0 of the solver's draw to ascending indices
     for seed, k, n, b in ((3, 0, 2, 8), (424242, 9, 5, 40), (7, 123, 50, 3)):
         draw = sample_batch(seed, k, n, b)
-        counts = np.empty((1, n), dtype=np.int64)
-        TrialStreams([seed], n).draw(k, b, counts)
-        np.testing.assert_array_equal(draw.counts(), counts[0])
+        np.testing.assert_array_equal(draw.counts(), BatchStream(seed, n).draw(k, b, 3)[0])
         assert np.all(np.diff(draw.indices) >= 0)
 
 

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from stochfp import (AveragedFamily, BatchSchedule, CallableFamily, Halfspace,
-                     Problem, ProjectionFamily, SolverConfig, StepSchedule,
-                     ensemble, halpern_step, iteration_rng, km_step,
-                     random_halfspace_problem,
+                     Problem, ProjectionFamily, STOCHASTIC_METHODS,
+                     SolverConfig, StepSchedule, ensemble, halpern_step,
+                     iteration_rng, km_step, random_halfspace_problem,
                      random_quadratic_problem, resolve_oracle, run,
                      two_halfspace_problem)
 from stochfp.core import DivergenceError
+from stochfp.solvers import _run_trials
 
 from reference_loop import reference_run
 
@@ -169,7 +170,7 @@ def test_divergence_aborts_with_seed():
                        iterations=50, seed=1234)
     with pytest.raises(DivergenceError) as err:
         run(problem, cfg)
-    assert err.value.seed == 1234
+    assert err.value.seed == 1234 and err.value.trial == 0
 
 
 def _callable_problem():
@@ -220,9 +221,29 @@ def test_run_matches_per_trial_reference(label, method):
     assert (rec.dist_sq is None) == (x_star is None)
     for key, expected in ref.items():
         got = rec.final_point if key == "final_point" else getattr(rec, key)
-        scale = np.nanmax(np.abs(expected))
-        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * scale,
-                                   err_msg=key)
+        _assert_matches_reference(got, expected, key)
+
+
+def _assert_matches_reference(got, expected, key):
+    scale = np.nanmax(np.abs(expected))
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * scale,
+                               err_msg=key)
+
+
+@pytest.mark.parametrize("method", STOCHASTIC_METHODS)
+@pytest.mark.parametrize("label", list(REFERENCE_PROBLEMS))
+def test_ensemble_row_matches_per_trial_reference(label, method):
+    # trial 2 of a 3-trial ensemble against the plain loop on row 2 of the
+    # master seed's draws
+    problem = REFERENCE_PROBLEMS[label]()
+    cfg = SolverConfig(method=method, iterations=40, seed=977,
+                       batch=BatchSchedule.exponential(2, 1.1, cap=64),
+                       record_every=3, **REFERENCE_METHODS[method])
+    x_star = resolve_oracle(problem).x_star if problem.oracle_info is not None else None
+    trace = _run_trials(problem, cfg, 3)
+    for key, expected in reference_run(problem, cfg, x_star, trial=2).items():
+        got = getattr(trace, "final_points" if key == "final_point" else key)[2]
+        _assert_matches_reference(got, expected, key)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -234,20 +255,18 @@ def test_divergence_names_the_failing_trial():
     fam = CallableFamily([lambda x: x, lambda x: 1e200 * x], dim=1)
     problem = Problem(family=fam, x0=np.array([1.0]))
 
-    def first_draw(seed):
-        return iteration_rng(int(seed), 0).multinomial(1, [0.5, 0.5]).tolist()
-
     for master in range(100):
-        seeds = np.random.SeedSequence(master).generate_state(3, np.uint64)
-        if first_draw(seeds[0]) == [1, 0] and first_draw(seeds[1]) == [0, 1]:
+        first = iteration_rng(master, 0).multinomial(1, [0.5, 0.5], size=3).tolist()
+        if first[0] == [1, 0] and first[1] == [0, 1]:
             break
     cfg = SolverConfig(method="stoch_km", step=StepSchedule.constant(0.9),
                        batch=BatchSchedule.constant(1), iterations=20, seed=master)
     with pytest.raises(DivergenceError) as err:
         ensemble(problem, cfg, trials=3)
-    assert err.value.seed == int(seeds[1])
+    assert err.value.seed == master
+    assert err.value.trial == 1
     assert err.value.step == 2
-    assert f"seed {int(seeds[1])}" in str(err.value)
+    assert f"trial 1 of master seed {master}" in str(err.value)
 
 
 @pytest.mark.filterwarnings("error")
