@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochfp import (BatchDraw, CallableFamily, apply_mini_batch,
@@ -51,25 +51,26 @@ def test_batch_size_change_does_not_perturb_other_iterations():
     assert np.array_equal(before.indices, after.indices)
 
 
+@pytest.mark.parametrize("n, b", [(2, 1), (7, 1000), (300, 64)])
+def test_counter_reset_draws_what_a_fresh_generator_draws(n, b):
+    # one stream per seed visits the iterations in any order and must
+    # reproduce the size-3 draw of iteration_rng(seed, k) bit for bit
+    seeds = [0, 99, 2**64 - 1]
+    streams = [BatchStream(seed, n) for seed in seeds]
+    for k in (5, 0, 17, 5, 2**40, 1):
+        for stream, seed in zip(streams, seeds):
+            fresh = iteration_rng(seed, k).multinomial(b, np.full(n, 1.0 / n), size=3)
+            np.testing.assert_array_equal(stream.draw(k, b, 3), fresh)
+
+
 _trial_counts = st.integers(1, 7).flatmap(
     lambda t: st.tuples(st.just(t), st.integers(t + 1, 8)))
-_COUNTER_RESET_KS = [5, 0, 17, 5, 2**40, 1]
-
-
-def _counter_reset_examples(test):
-    # the fixed cases of the former per-seed counter-reset test
-    for n, b in ((2, 1), (7, 1000), (300, 64)):
-        for seed in (0, 99, 2**64 - 1):
-            test = example(seed=seed, ks=_COUNTER_RESET_KS, n=n, b=b,
-                           trials=(3, 8))(test)
-    return test
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**128 - 1),
        ks=st.lists(st.integers(0, 2**40), min_size=1, max_size=6),
        n=st.integers(1, 300), b=st.integers(1, 10**6), trials=_trial_counts)
-@_counter_reset_examples
 def test_stream_draws_are_rows_of_a_fresh_generator_draw(seed, ks, n, b, trials):
     # one stream object visits the iterations in any order; each draw is the
     # size-T multinomial of a fresh iteration_rng(seed, k), bit for bit, and
