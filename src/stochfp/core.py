@@ -80,8 +80,11 @@ class MappingFamily:
     """A finite family of mappings ``T_i: R^d -> R^d`` with exact-mean access.
 
     Subclasses provide :meth:`eval_all`, returning the stacked component
-    values at a point, and may override :meth:`weighted_mean`, the one
-    primitive the solvers call, with a stacked form over many points.
+    values at a point, and may override the two primitives the solvers call
+    with stacked forms over many points: :meth:`weighted_mean`, which
+    weights all ``n`` components (the exact mean, and batches of ``b >= n``
+    drawn as counts), and :meth:`sampled_mean`, which averages only the
+    drawn components (batches of ``b < n`` drawn as indices).
     Component indices are 1-based in the public API, matching the sampling
     convention; row ``i`` of :meth:`eval_all` holds ``T_{i+1}(x)``.
 
@@ -140,6 +143,18 @@ class MappingFamily:
         """
         return np.stack([W[t] @ self.eval_all(X[t]) for t in range(X.shape[0])])
 
+    def sampled_mean(self, X: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """Mini-batch means ``out[t] = (1/b) sum_j T_{idx[t, j] + 1}(X[t])``.
+
+        ``X`` is a ``(T, d)`` stack of points and ``idx`` a ``(T, b)`` stack
+        of zero-based component indices; the result is ``(T, d)``.  Only the
+        drawn rows enter the sum, so a component that overflows but was not
+        drawn cannot poison it.  Hot path: skips validation.  This generic
+        version evaluates every component per point; the built-in families
+        override it with forms that touch only the drawn components.
+        """
+        return np.stack([self.eval_all(X[t])[idx[t]].mean(axis=0) for t in range(X.shape[0])])
+
     def mean(self, x) -> np.ndarray:
         """Exact mean ``T(x) = (1/n) sum_i T_i(x)``."""
         xa = as_point(x, dim=self._dim)
@@ -158,9 +173,16 @@ class CallableFamily(MappingFamily):
         self._components = list(components)
 
     def eval_all(self, x: np.ndarray) -> np.ndarray:
-        out = np.empty((self._n, self._dim))
-        for i, t in enumerate(self._components):
-            out[i] = np.asarray(t(x), dtype=float)
+        return self._eval(x, range(self._n))
+
+    def sampled_mean(self, X: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        # calls only the drawn components
+        return np.stack([self._eval(x, row).mean(axis=0) for x, row in zip(X, idx)])
+
+    def _eval(self, x: np.ndarray, rows) -> np.ndarray:
+        out = np.empty((len(rows), self._dim))
+        for j, i in enumerate(rows):
+            out[j] = np.asarray(self._components[i](x), dtype=float)
         return out
 
 

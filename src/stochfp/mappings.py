@@ -112,6 +112,13 @@ class ProjectionFamily(MappingFamily):
         coef = np.maximum(X @ self._A.T - self._beta, 0.0) * self._inv_norm_sq
         return W.sum(axis=-1)[:, :, None] * X[:, None, :] - (W * coef[:, None, :]) @ self._A
 
+    def sampled_mean(self, X: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        # the same sum over the (T, b, d) drawn normals only
+        A = self._A[idx]
+        coef = (np.maximum((A @ X[:, :, None])[..., 0] - self._beta[idx], 0.0)
+                * self._inv_norm_sq[idx])
+        return X - (coef[:, None, :] @ A)[:, 0] / idx.shape[1]
+
 
 @dataclass(frozen=True)
 class QuadraticTerm:
@@ -197,6 +204,14 @@ class GradientFamily(MappingFamily):
         values += self._h
         return W @ values
 
+    def sampled_mean(self, X: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        # the drawn counts weight the dense product: at small n and d a
+        # (T, b, d, d) gather of G costs more than it
+        trials, b = idx.shape
+        flat = (idx + self.n * np.arange(trials)[:, None]).ravel()
+        counts = np.bincount(flat, minlength=trials * self.n).reshape(trials, 1, self.n)
+        return self.weighted_mean(X, counts / b)[:, 0]
+
 
 class AveragedFamily(MappingFamily):
     """Blend of a base family with the identity: ``T_i^lam = lam*Id + (1-lam)*T_i``.
@@ -219,3 +234,6 @@ class AveragedFamily(MappingFamily):
     def weighted_mean(self, X: np.ndarray, W: np.ndarray) -> np.ndarray:
         base = self.base.weighted_mean(X, W)
         return self.lam * W.sum(axis=-1)[:, :, None] * X[:, None, :] + (1.0 - self.lam) * base
+
+    def sampled_mean(self, X: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        return self.lam * X + (1.0 - self.lam) * self.base.sampled_mean(X, idx)

@@ -199,10 +199,13 @@ def _iterate(problem: Problem, cfg: SolverConfig, trials: int,
     """The iteration engine: all trials in one ``(T, d)`` state, ``k = 0..K``.
 
     Trial ``t`` takes row ``t`` of each iteration's batch draw on the stream
-    ``cfg.seed``.  Each
+    ``cfg.seed``.  For ``b_k >= n`` (and the deterministic methods) each
     iteration makes one :meth:`MappingFamily.weighted_mean` call whose weight
     rows are the uniform ``1/n`` (the exact mean, only on record rows of the
-    stochastic methods) and ``counts / b_k`` (the sampled mean).
+    stochastic methods) and ``counts / b_k`` (the sampled mean).  For
+    ``b_k < n`` the draw is ``b_k`` indices per trial and the sampled mean
+    is one :meth:`MappingFamily.sampled_mean` call, plus a
+    ``weighted_mean`` call for the exact mean on record rows.
     ``stoch_halpern_lambda`` iterates on ``AveragedFamily(family, lam)``;
     since ``x - T^lam(x) = (1-lam)*(x - T(x))``, its residuals are divided
     once by ``1 - lam`` to stay measured against the problem's own mean
@@ -242,10 +245,16 @@ def _iterate(problem: Problem, cfg: SolverConfig, trials: int,
         rec = k % stride == 0 or k == iterations
         if k == iterations or not stochastic:
             means = family.weighted_mean(x, exact)
+            t_val = means[:, -1]
+        elif batch_list[k] < n:
+            # b_k indices per trial: O(T * b_k), the exact mean on record rows only
+            t_val = family.sampled_mean(x, stream.draw(k, batch_list[k], trials))
+            means = family.weighted_mean(x, exact) if rec else None
         else:
             b = batch_list[k]
             np.divide(stream.draw(k, b, trials), b, out=sampled[:, 0])
             means = family.weighted_mean(x, weights if rec else sampled)
+            t_val = means[:, -1]
         if rec:
             np.subtract(x, means[:, 0], out=diffs[0])
             np.subtract(x, refs, out=diffs[1:3])
@@ -253,7 +262,6 @@ def _iterate(problem: Problem, cfg: SolverConfig, trials: int,
             sq[:3, :, row] = np.einsum("fti,fti->ft", diffs[:3], diffs[:3])
             break
 
-        t_val = means[:, -1]
         alpha = alpha_list[k]
         if anchored:
             x_next = alpha * x0 + (1.0 - alpha) * t_val

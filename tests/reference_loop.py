@@ -2,9 +2,10 @@
 
 One trial, one point at a time: every component through ``eval_all``, the
 exact mean as their average, the sampled mean from row ``trial`` of a fresh
-``iteration_rng(seed, k)`` draw per iteration, the schedules through
-``.at(k)``, and the public ``halpern_step`` / ``km_step`` updates.  It
-records the same fields as :class:`stochfp.RunRecord`.
+``iteration_rng(seed, k)`` draw per iteration (``b`` indices for ``b < n``,
+otherwise the multinomial counts), the schedules through ``.at(k)``, and the
+public ``halpern_step`` / ``km_step`` updates.  It records the same fields
+as :class:`stochfp.RunRecord`.
 """
 
 import numpy as np
@@ -35,8 +36,12 @@ def reference_run(problem, cfg, x_star=None, trial=0):
             break
         if cfg.stochastic:
             b = cfg.batch.at(k)
-            counts = iteration_rng(cfg.seed, k).multinomial(b, pvals, size=trial + 1)[trial]
-            t_val = (counts / b) @ values
+            if b < n:
+                idx = iteration_rng(cfg.seed, k).integers(0, n, (trial + 1, b))[trial]
+                t_val = values[idx].mean(0)
+            else:
+                counts = iteration_rng(cfg.seed, k).multinomial(b, pvals, size=trial + 1)[trial]
+                t_val = (counts / b) @ values
         else:
             t_val = t_exact
         if cfg.lam is not None:

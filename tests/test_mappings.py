@@ -218,3 +218,31 @@ def test_weighted_mean_matches_componentwise_sum(label):
     for t in range(4):
         np.testing.assert_allclose(got[t, 0], fam.eval_all(X[t]).mean(axis=0),
                                    rtol=1e-12, atol=1e-13)
+
+
+@pytest.mark.parametrize("label", ["projection", "gradient", "callable", "blend"])
+def test_sampled_mean_matches_count_weighted_mean(label):
+    # the index form, and the generic one, against weighted_mean with
+    # weights bincount(idx) / b
+    from stochfp import (CallableFamily, MappingFamily, random_halfspace_problem,
+                         random_quadratic_problem)
+    halfspaces = random_halfspace_problem(30, 5, gen_seed=4).family
+    families = {
+        "projection": lambda: halfspaces,
+        "gradient": lambda: random_quadratic_problem(9, 5, gen_seed=1).family,
+        "callable": lambda: CallableFamily(
+            [lambda x, i=i: halfspaces.component(i + 1, x) for i in range(6)], dim=5),
+        "blend": lambda: AveragedFamily(halfspaces, 0.7),
+    }
+    fam = families[label]()
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((4, fam.dim)) * 3
+    for b in (1, 4, fam.n - 1):
+        idx = rng.integers(0, fam.n, (4, b))
+        W = np.stack([np.bincount(row, minlength=fam.n) / b for row in idx])[:, None, :]
+        got = fam.sampled_mean(X, idx)
+        expected = fam.weighted_mean(X, W)[:, 0]
+        assert got.shape == (4, fam.dim)
+        for value in (got, MappingFamily.sampled_mean(fam, X, idx)):
+            np.testing.assert_allclose(value, expected, rtol=1e-12,
+                                       atol=1e-12 * np.abs(expected).max())

@@ -51,6 +51,15 @@ def test_batch_size_change_does_not_perturb_other_iterations():
     assert np.array_equal(before.indices, after.indices)
 
 
+def _fresh_draw(seed, k, n, b, trials):
+    # the stream's rule, written out: b indices per trial for b < n,
+    # otherwise the multinomial counts
+    gen = iteration_rng(seed, k)
+    if b < n:
+        return gen.integers(0, n, (trials, b))
+    return gen.multinomial(b, np.full(n, 1.0 / n), size=trials)
+
+
 @pytest.mark.parametrize("n, b", [(2, 1), (7, 1000), (300, 64)])
 def test_counter_reset_draws_what_a_fresh_generator_draws(n, b):
     # one stream per seed visits the iterations in any order and must
@@ -59,8 +68,7 @@ def test_counter_reset_draws_what_a_fresh_generator_draws(n, b):
     streams = [BatchStream(seed, n) for seed in seeds]
     for k in (5, 0, 17, 5, 2**40, 1):
         for stream, seed in zip(streams, seeds):
-            fresh = iteration_rng(seed, k).multinomial(b, np.full(n, 1.0 / n), size=3)
-            np.testing.assert_array_equal(stream.draw(k, b, 3), fresh)
+            np.testing.assert_array_equal(stream.draw(k, b, 3), _fresh_draw(seed, k, n, b, 3))
 
 
 _trial_counts = st.integers(1, 7).flatmap(
@@ -70,27 +78,48 @@ _trial_counts = st.integers(1, 7).flatmap(
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**128 - 1),
        ks=st.lists(st.integers(0, 2**40), min_size=1, max_size=6),
-       n=st.integers(1, 300), b=st.integers(1, 10**6), trials=_trial_counts)
+       n=st.integers(1, 300), b=st.integers(1, 300) | st.integers(1, 10**6),
+       trials=_trial_counts)
 def test_stream_draws_are_rows_of_a_fresh_generator_draw(seed, ks, n, b, trials):
     # one stream object visits the iterations in any order; each draw is the
-    # size-T multinomial of a fresh iteration_rng(seed, k), bit for bit, and
-    # its first T rows do not depend on how many trials are drawn
+    # size-T draw of a fresh iteration_rng(seed, k), bit for bit (integers
+    # for b < n, multinomial otherwise), and its first T rows do not depend
+    # on how many trials are drawn
     few, many = trials
     stream = BatchStream(seed, n)
     for k in ks:
         rows = stream.draw(k, b, few)
         np.testing.assert_array_equal(rows, stream.draw(k, b, many)[:few])
-        fresh = iteration_rng(seed, k).multinomial(b, np.full(n, 1.0 / n), size=few)
-        np.testing.assert_array_equal(rows, fresh)
-        assert rows.shape == (few, n) and np.all(rows.sum(axis=1) == b)
+        np.testing.assert_array_equal(rows, _fresh_draw(seed, k, n, b, few))
+        if b < n:
+            assert rows.shape == (few, b) and rows.min() >= 0 and rows.max() < n
+        else:
+            assert rows.shape == (few, n) and np.all(rows.sum(axis=1) == b)
+
+
+@pytest.mark.parametrize("n, b", [(50, 3), (2000, 64), (5, 4), (5, 5), (2, 8)])
+def test_index_draw_is_a_fresh_integers_draw(n, b):
+    # b < n draws b indices per trial; b >= n keeps the multinomial counts
+    rows = BatchStream(11, n).draw(4, b, 3)
+    if b < n:
+        np.testing.assert_array_equal(rows, iteration_rng(11, 4).integers(0, n, (3, b)))
+    else:
+        assert rows.shape == (3, n) and np.all(rows.sum(axis=1) == b)
 
 
 def test_sample_batch_is_the_solver_draw():
-    # sample_batch expands row 0 of the solver's draw to ascending indices
-    for seed, k, n, b in ((3, 0, 2, 8), (424242, 9, 5, 40), (7, 123, 50, 3)):
+    # sample_batch is row 0 of the solver's draw: its b indices in drawn
+    # order for b < n, its counts expanded to ascending indices otherwise
+    for seed, k, n, b in ((3, 0, 2, 8), (424242, 9, 5, 40), (7, 123, 50, 3),
+                          (11, 4, 2000, 64)):
         draw = sample_batch(seed, k, n, b)
-        np.testing.assert_array_equal(draw.counts(), BatchStream(seed, n).draw(k, b, 3)[0])
-        assert np.all(np.diff(draw.indices) >= 0)
+        row = BatchStream(seed, n).draw(k, b, 3)[0]
+        if b < n:
+            np.testing.assert_array_equal(draw.indices, row + 1)
+            np.testing.assert_array_equal(draw.counts(), np.bincount(row, minlength=n))
+        else:
+            np.testing.assert_array_equal(draw.counts(), row)
+            assert np.all(np.diff(draw.indices) >= 0)
 
 
 def test_draw_validates_indices():
@@ -130,6 +159,12 @@ def test_apply_full_sweep_equals_exact_mean():
     x = np.array([0.8, 0.1])
     np.testing.assert_allclose(apply_mini_batch(fam, draw, x),
                                fam.mean(x), rtol=1e-15)
+
+
+def test_apply_skips_an_undrawn_overflowing_component():
+    fam = CallableFamily([lambda x: x, lambda x: 1e308 * x + 1e308], dim=1)
+    draw = BatchDraw(indices=np.array([1, 1]), n=2, k=0, seed=0)
+    np.testing.assert_array_equal(apply_mini_batch(fam, draw, [1.0]), [1.0])
 
 
 def test_apply_rejects_family_mismatch():

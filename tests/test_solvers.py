@@ -4,10 +4,11 @@ import pytest
 from stochfp import (AveragedFamily, BatchSchedule, CallableFamily, Halfspace,
                      Problem, ProjectionFamily, STOCHASTIC_METHODS,
                      SolverConfig, StepSchedule, ensemble, halpern_step,
-                     iteration_rng, km_step, random_halfspace_problem,
+                     km_step, random_halfspace_problem,
                      random_quadratic_problem, resolve_oracle, run,
                      two_halfspace_problem)
 from stochfp.core import DivergenceError
+from stochfp.sampling import BatchStream
 from stochfp.solvers import _run_trials
 
 from reference_loop import reference_run
@@ -249,16 +250,20 @@ def test_ensemble_row_matches_per_trial_reference(label, method):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_names_the_failing_trial():
     # b=1: a trial that draws the blow-up component at k=0 jumps to ~1e200,
-    # where that component overflows, so its iterate is non-finite at k=2.
-    # Choose a master seed whose trial 0 draws the identity at k=0 (and stays
-    # finite through k=2) while trial 1 draws the blow-up component.
+    # where that component overflows when drawn again, so its iterate is
+    # non-finite at k=2.  Choose a master seed whose trial 0 draws the
+    # identity at k=0 (and stays finite through k=2) while trial 1 draws the
+    # blow-up component at k=0 and k=1.
     fam = CallableFamily([lambda x: x, lambda x: 1e200 * x], dim=1)
     problem = Problem(family=fam, x0=np.array([1.0]))
 
     for master in range(100):
-        first = iteration_rng(master, 0).multinomial(1, [0.5, 0.5], size=3).tolist()
-        if first[0] == [1, 0] and first[1] == [0, 1]:
+        stream = BatchStream(master, 2)
+        first, second = stream.draw(0, 1, 3).tolist(), stream.draw(1, 1, 3).tolist()
+        if first[0] == [0] and first[1] == [1] and second[1] == [1]:
             break
+    else:
+        pytest.fail("no master seed in range(100) draws the required batches")
     cfg = SolverConfig(method="stoch_km", step=StepSchedule.constant(0.9),
                        batch=BatchSchedule.constant(1), iterations=20, seed=master)
     with pytest.raises(DivergenceError) as err:
@@ -267,6 +272,25 @@ def test_divergence_names_the_failing_trial():
     assert err.value.trial == 1
     assert err.value.step == 2
     assert f"trial 1 of master seed {master}" in str(err.value)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_undrawn_overflowing_component_does_not_poison_the_trial():
+    # component 2 overflows at x0 = 1; a trial that never draws it keeps a
+    # finite iterate (the exact mean on record rows is inf, not the step)
+    fam = CallableFamily([lambda x: x, lambda x: 1e308 * x + 1e308], dim=1)
+    problem = Problem(family=fam, x0=np.array([1.0]))
+    iterations = 5
+    for master in range(1000):
+        stream = BatchStream(master, 2)
+        if all(stream.draw(k, 1, 3)[0].tolist() == [0] for k in range(iterations)):
+            break
+    else:
+        pytest.fail("no master seed in range(1000) draws only component 1")
+    cfg = SolverConfig(method="stoch_km", step=StepSchedule.constant(0.5),
+                       batch=BatchSchedule.constant(1), iterations=iterations, seed=master)
+    rec = run(problem, cfg)
+    np.testing.assert_array_equal(rec.final_point, [1.0])
 
 
 @pytest.mark.filterwarnings("error")
