@@ -84,7 +84,9 @@ class MappingFamily:
     with stacked forms over many points: :meth:`weighted_mean`, which
     weights all ``n`` components (the exact mean, and batches of ``b >= n``
     drawn as counts), and :meth:`sampled_mean`, which averages only the
-    drawn components (batches of ``b < n`` drawn as indices).
+    drawn components (batches of ``b < n`` drawn as indices).  The engine
+    reaches the first through two private forms a family may override:
+    ``_weighted_mean``, given the weight sums, and ``_exact_mean``.
     Component indices are 1-based in the public API, matching the sampling
     convention; row ``i`` of :meth:`eval_all` holds ``T_{i+1}(x)``.
 
@@ -143,6 +145,15 @@ class MappingFamily:
         """
         return np.stack([W[t] @ self.eval_all(X[t]) for t in range(X.shape[0])])
 
+    def _weighted_mean(self, X: np.ndarray, W: np.ndarray, wsum: np.ndarray) -> np.ndarray:
+        """:meth:`weighted_mean` given ``wsum = W.sum(axis=-1)``, which the
+        engine computes once per block; families whose form uses it override this."""
+        return self.weighted_mean(X, W)
+
+    def _exact_mean(self, X: np.ndarray) -> np.ndarray:
+        """Exact means ``T(X[p])`` of a ``(P, d)`` stack of points; ``(P, d)``."""
+        return self.weighted_mean(X, np.full((X.shape[0], 1, self._n), 1.0 / self._n))[:, 0]
+
     def sampled_mean(self, X: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """Mini-batch means ``out[t] = (1/b) sum_j T_{idx[t, j] + 1}(X[t])``.
 
@@ -158,7 +169,7 @@ class MappingFamily:
     def mean(self, x) -> np.ndarray:
         """Exact mean ``T(x) = (1/n) sum_i T_i(x)``."""
         xa = as_point(x, dim=self._dim)
-        return self.weighted_mean(xa[None, :], np.full((1, 1, self._n), 1.0 / self._n))[0, 0]
+        return self._exact_mean(xa[None, :])[0]
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"{type(self).__name__}(n={self._n}, dim={self._dim}, kind={self._kind!r})"

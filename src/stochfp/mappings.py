@@ -107,10 +107,13 @@ class ProjectionFamily(MappingFamily):
         return x[None, :] - coef[:, None] * self._A
 
     def weighted_mean(self, X: np.ndarray, W: np.ndarray) -> np.ndarray:
+        return self._weighted_mean(X, W, W.sum(axis=-1))
+
+    def _weighted_mean(self, X: np.ndarray, W: np.ndarray, wsum: np.ndarray) -> np.ndarray:
         # sum_i w_i (x - c_i a_i) = (sum_i w_i) x - (w * c) @ A, without
         # forming the (T, n, d) component values
         coef = np.maximum(X @ self._A.T - self._beta, 0.0) * self._inv_norm_sq
-        return W.sum(axis=-1)[:, :, None] * X[:, None, :] - (W * coef[:, None, :]) @ self._A
+        return wsum[:, :, None] * X[:, None, :] - (W * coef[:, None, :]) @ self._A
 
     def sampled_mean(self, X: np.ndarray, idx: np.ndarray) -> np.ndarray:
         # the same sum over the (T, b, d) drawn normals only
@@ -232,8 +235,11 @@ class AveragedFamily(MappingFamily):
         return self.lam * x[None, :] + (1.0 - self.lam) * self.base.eval_all(x)
 
     def weighted_mean(self, X: np.ndarray, W: np.ndarray) -> np.ndarray:
-        base = self.base.weighted_mean(X, W)
-        return self.lam * W.sum(axis=-1)[:, :, None] * X[:, None, :] + (1.0 - self.lam) * base
+        return self._weighted_mean(X, W, W.sum(axis=-1))
+
+    def _weighted_mean(self, X: np.ndarray, W: np.ndarray, wsum: np.ndarray) -> np.ndarray:
+        base = self.base._weighted_mean(X, W, wsum)
+        return self.lam * wsum[:, :, None] * X[:, None, :] + (1.0 - self.lam) * base
 
     def sampled_mean(self, X: np.ndarray, idx: np.ndarray) -> np.ndarray:
         return self.lam * X + (1.0 - self.lam) * self.base.sampled_mean(X, idx)

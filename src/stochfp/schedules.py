@@ -96,19 +96,24 @@ class StepSchedule:
         """Step size at iteration ``k``; always in (0, 1]."""
         if k < 0:
             raise ValueError("iteration index must be >= 0")
-        if self.kind == "poly":
-            return (k + 1.0) ** (-self.a)
-        if self.kind == "lambda_poly":
-            return _lambda_step_cap(self.lam) * (k + 1.0) ** (-self.a)
-        return self.c
+        return self._steps((k,))[0]
+
+    def _steps(self, ks) -> list[float]:
+        """Step sizes at the iterations ``ks``: the one formula of :meth:`at`
+        and :meth:`values`.
+
+        The powers are scalar: a vectorised ``pow`` can differ from the
+        scalar one in the last bit.
+        """
+        if self.kind == "constant":
+            return [self.c for _ in ks]
+        scale = 1.0 if self.kind == "poly" else _lambda_step_cap(self.lam)
+        e = -self.a
+        return [scale * (k + 1.0) ** e for k in ks]
 
     def values(self, horizon: int) -> np.ndarray:
-        """``at(k)`` for ``k < horizon``.
-
-        Evaluated through :meth:`at` rather than an array power, whose
-        vectorised ``pow`` can differ from the scalar one in the last bit.
-        """
-        return np.array([self.at(k) for k in range(horizon)], dtype=float)
+        """``at(k)`` for ``k < horizon``."""
+        return np.array(self._steps(range(horizon)), dtype=float)
 
     @property
     def max_value(self) -> float:
@@ -197,26 +202,35 @@ class BatchSchedule:
                     cap: int | None = None) -> "BatchSchedule":
         return cls(kind="exponential", b0=b0, delta=delta, cap=cap)
 
+    def _raws(self, ks) -> list[float]:
+        """Unfloored sizes at the iterations ``ks``.
+
+        Raises OverflowError when a power leaves float range.
+        """
+        if self.kind == "constant":
+            return [float(self.b) for _ in ks]
+        if self.kind == "polynomial":
+            a0, b0, c = self.a0, self.b0, self.c
+            return [(a0 * k + b0) ** c for k in ks]
+        b0, delta = self.b0, self.delta
+        return [b0 * delta**k for k in ks]
+
     def _raw(self, k: int) -> float:
         try:
-            if self.kind == "constant":
-                return float(self.b)
-            if self.kind == "polynomial":
-                return (self.a0 * k + self.b0) ** self.c
-            return self.b0 * self.delta**k
+            return self._raws((k,))[0]
         except OverflowError:
             return math.inf
 
-    def _emitted(self, k: int) -> float:
-        """Emitted size as a float: floored, clamped below at 1, capped."""
-        raw = self._raw(k)
-        if math.isfinite(raw):
-            # above 2^53 every float is an integer already
-            raw = float(math.floor(raw)) if raw < 2.0**53 else raw
-            raw = max(1.0, raw)
+    def _emit(self, raw) -> np.ndarray:
+        """Emitted sizes of unfloored ones: floored, clamped below at 1, capped."""
+        out = np.maximum(np.floor(raw), 1.0)
         if self.cap is not None:
-            raw = min(raw, float(self.cap))
-        return raw
+            np.minimum(out, float(self.cap), out=out)
+        return out
+
+    def _emitted(self, k: int) -> float:
+        """Emitted size as a float."""
+        return float(self._emit([self._raw(k)])[0])
 
     def at(self, k: int) -> int:
         """Emitted batch size at iteration ``k`` (integer >= 1).
@@ -231,7 +245,11 @@ class BatchSchedule:
 
     def values_float(self, horizon: int) -> np.ndarray:
         """Emitted sizes as floats (inf when an uncapped schedule overflows)."""
-        return np.array([self._emitted(k) for k in range(horizon)])
+        try:
+            raw = self._raws(range(horizon))
+        except OverflowError:  # per k, inf where the power overflows
+            raw = [self._raw(k) for k in range(horizon)]
+        return self._emit(raw)
 
     def values(self, horizon: int) -> np.ndarray:
         """``at(k)`` for ``k < horizon`` as int64, saturated at 2^62 likewise."""

@@ -23,9 +23,12 @@ case and :func:`stochfp.diagnostics.ensemble` reduces its rows.  Iteration
 ``k`` of all trials is one draw on the master seed's counter-based stream
 (:mod:`stochfp.sampling`); trial ``t`` takes row ``t``, so its draws do not
 depend on the number of trials.
-The schedules are precomputed arrays, the step-size ranges are checked once
-before the loop, and the whole state is checked for non-finite values after
-every step.
+The schedules are precomputed arrays and the step-size ranges are checked
+once before the loop.  The engine runs blocks of iterations in three phases:
+it draws the block's batches and turns counts into weights, then steps each
+iteration with one sampled-mean call and checks the whole state for
+non-finite values, then records the block's rows with one exact-mean call.
+The block length never changes the output.
 """
 
 from __future__ import annotations
@@ -42,6 +45,12 @@ from .schedules import BatchSchedule, StepSchedule, _lambda_step_cap
 
 __all__ = ["METHODS", "STOCHASTIC_METHODS", "FieldError", "SolverConfig",
            "halpern_step", "km_step", "run"]
+
+#: most iterations in one block of the engine; longer blocks save no
+#: measurable time
+_BLOCK = 64
+#: most array elements one block's buffers hold; also caps the block length
+_BLOCK_ELEMENTS = 2**17
 
 METHODS = ("km", "halpern", "stoch_km", "stoch_halpern", "stoch_halpern_lambda")
 STOCHASTIC_METHODS = ("stoch_km", "stoch_halpern", "stoch_halpern_lambda")
@@ -199,13 +208,28 @@ def _iterate(problem: Problem, cfg: SolverConfig, trials: int,
     """The iteration engine: all trials in one ``(T, d)`` state, ``k = 0..K``.
 
     Trial ``t`` takes row ``t`` of each iteration's batch draw on the stream
-    ``cfg.seed``.  For ``b_k >= n`` (and the deterministic methods) each
-    iteration makes one :meth:`MappingFamily.weighted_mean` call whose weight
-    rows are the uniform ``1/n`` (the exact mean, only on record rows of the
-    stochastic methods) and ``counts / b_k`` (the sampled mean).  For
-    ``b_k < n`` the draw is ``b_k`` indices per trial and the sampled mean
-    is one :meth:`MappingFamily.sampled_mean` call, plus a
-    ``weighted_mean`` call for the exact mean on record rows.
+    ``cfg.seed``.  The iterations run in blocks of ``B``, each in three
+    phases:
+
+    1. *Draw.*  The block's ``B`` draws on the stream.  Count draws
+       (``b_k >= n``) go into a ``(B, T, 1, n)`` weight buffer that one
+       divide turns into ``counts / b_k`` and one sum into its row sums;
+       index draws (``b_k < n``) are kept as they are.
+    2. *Step.*  Per iteration one sampled-mean call: the private form of
+       :meth:`MappingFamily.weighted_mean` on that iteration's weight row and
+       its precomputed sum, or :meth:`MappingFamily.sampled_mean` on its
+       indices, or the exact mean for the deterministic methods.  The update
+       uses the block's precomputed ``alpha_k * x0`` and ``1 - alpha_k`` and
+       is written into a ``(B + 1, T, d)`` iterate buffer, which is checked
+       for non-finite values before any family sees it.
+    3. *Record.*  One exact-mean call over the ``(r*T, d)`` points of the
+       block's ``r`` record rows (the deterministic methods reuse their
+       step's exact mean) and one ``einsum`` for their five squared norms.
+
+    ``B`` is at most ``_BLOCK`` and keeps the block's buffers within about
+    ``_BLOCK_ELEMENTS``.  Each value is computed by the same operations
+    whatever ``B`` is, so the output does not depend on it; the stacked
+    exact mean is never taken over a single point.
     ``stoch_halpern_lambda`` iterates on ``AveragedFamily(family, lam)``;
     since ``x - T^lam(x) = (1-lam)*(x - T(x))``, its residuals are divided
     once by ``1 - lam`` to stay measured against the problem's own mean
@@ -215,7 +239,7 @@ def _iterate(problem: Problem, cfg: SolverConfig, trials: int,
     if cfg.lam is not None:
         family = AveragedFamily(family, cfg.lam)
     x0 = problem.x0
-    n = family.n
+    n, dim = family.n, family.dim
     anchored = cfg.method in ("halpern", "stoch_halpern", "stoch_halpern_lambda")
     stochastic = cfg.stochastic
     iterations, stride = cfg.iterations, cfg.record_every
@@ -224,62 +248,110 @@ def _iterate(problem: Problem, cfg: SolverConfig, trials: int,
     alphas = cfg.step.values(iterations + 1)
     batches = (cfg.batch.values(iterations + 1) if stochastic
                else np.full(iterations + 1, n, dtype=np.int64))
-    alpha_list, batch_list = alphas.tolist(), batches.tolist()
     ks = np.append(np.arange(0, iterations, stride), iterations)
     # squared norms per record row: ||x_k - T(x_k)||, ||x_k - x0||, ||x_k - x*||,
     # ||t_k - x*|| for the sampled image t_k, ||x_{k+1} - x_k||; the last two
     # stay NaN on the final row, where no step is taken
     sq = np.full((5, trials, ks.size), np.nan)
-    diffs = np.empty((5, trials, family.dim))
     # x0 stands in for a missing oracle point; those rows are dropped at the end
-    refs = np.stack([x0, x0 if x_star is None else x_star])[:, None, :]
+    refs = np.stack([x0, x0 if x_star is None else x_star])[:, None, None, :]
 
-    weights = np.full((trials, 2, n), 1.0 / n)  # rows: exact mean, counts / b_k
-    exact, sampled = weights[:, :1], weights[:, 1:]
+    # block buffers, sized by what a step fills: an iterate row, a weight row
+    # (count draws) or an index row (index draws), and the record rows' share
+    # of the stacked exact mean (n uniform weights per point)
+    sizes = batches[:iterations]
+    dense = stochastic and bool((sizes >= n).any())
+    width = (n if dense else 0) + (int(sizes[sizes < n].max(initial=0)) if stochastic else 0)
+    per_step = trials * (dim + width + -(-n // stride))
+    block = max(1, min(_BLOCK, _BLOCK_ELEMENTS // per_step, iterations))
+    X = np.empty((block + 1, trials, dim))
+    X[0] = x0
+    xs = list(X)  # row views, made once
+    if dense:
+        W = np.zeros((block, trials, 1, n))
+        ws = list(W)
     if stochastic:
         stream = BatchStream(cfg.seed, n)
 
-    x = np.tile(x0, (trials, 1))
     row = 0
-    for k in range(iterations + 1):
-        rec = k % stride == 0 or k == iterations
-        if k == iterations or not stochastic:
-            means = family.weighted_mean(x, exact)
-            t_val = means[:, -1]
-        elif batch_list[k] < n:
-            # b_k indices per trial: O(T * b_k), the exact mean on record rows only
-            t_val = family.sampled_mean(x, stream.draw(k, batch_list[k], trials))
-            means = family.weighted_mean(x, exact) if rec else None
-        else:
-            b = batch_list[k]
-            np.divide(stream.draw(k, b, trials), b, out=sampled[:, 0])
-            means = family.weighted_mean(x, weights if rec else sampled)
-            t_val = means[:, -1]
-        if rec:
-            np.subtract(x, means[:, 0], out=diffs[0])
-            np.subtract(x, refs, out=diffs[1:3])
-        if k == iterations:
-            sq[:3, :, row] = np.einsum("fti,fti->ft", diffs[:3], diffs[:3])
-            break
-
-        alpha = alpha_list[k]
+    for k0 in range(0, iterations, block):
+        m = min(block, iterations - k0)
+        final = k0 + m == iterations
+        alpha_list = alphas[k0:k0 + m].tolist()
+        size_list = sizes[k0:k0 + m].tolist()
+        one_minus = (1.0 - alphas[k0:k0 + m]).tolist()
         if anchored:
-            x_next = alpha * x0 + (1.0 - alpha) * t_val
-        else:
-            x_next = (1.0 - alpha) * x + alpha * t_val
-        if not np.isfinite(x_next).all():
-            bad = int(np.argmin(np.isfinite(x_next).all(axis=1)))
-            batch = f", b_k = {batch_list[k]}" if stochastic else ""
-            raise DivergenceError(
-                f"non-finite iterate at k={k + 1} in trial {bad} of master seed {cfg.seed} "
-                f"(alpha_k = {alpha:.6g}{batch}, ||x_k|| = {math.hypot(*x[bad]):.6g} at k={k})",
-                seed=cfg.seed, trial=bad, step=k + 1)
-        if rec:
-            np.subtract(t_val, refs[1], out=diffs[3])
-            np.subtract(x_next, x, out=diffs[4])
-            sq[:, :, row] = np.einsum("fti,fti->ft", diffs, diffs)
-            row += 1
-        x = x_next
+            anchor_terms = list(alphas[k0:k0 + m, None] * x0)
+
+        # draw
+        if stochastic:
+            draws = [None] * m
+            for j, b in enumerate(size_list):
+                if b < n:
+                    draws[j] = stream.draw(k0 + j, b, trials)
+                else:
+                    W[j, :, 0] = stream.draw(k0 + j, b, trials)
+            if dense:
+                W[:m] /= sizes[k0:k0 + m, None, None, None]
+                wsums = list(W[:m].sum(axis=-1))
+
+        # step; t_k is kept on the record rows
+        kept = []
+        for j in range(m):
+            x, x_next = xs[j], xs[j + 1]
+            if not stochastic:
+                t_val = family._exact_mean(x)
+            elif size_list[j] < n:
+                t_val = family.sampled_mean(x, draws[j])
+            else:
+                t_val = family._weighted_mean(x, ws[j], wsums[j])[:, 0]
+            if anchored:
+                np.multiply(t_val, one_minus[j], out=x_next)
+                x_next += anchor_terms[j]
+            else:
+                np.multiply(x, one_minus[j], out=x_next)
+                x_next += alpha_list[j] * t_val
+            if not np.isfinite(x_next).all():
+                k = k0 + j
+                bad = int(np.argmin(np.isfinite(x_next).all(axis=1)))
+                batch = f", b_k = {size_list[j]}" if stochastic else ""
+                raise DivergenceError(
+                    f"non-finite iterate at k={k + 1} in trial {bad} of master seed {cfg.seed} "
+                    f"(alpha_k = {alpha_list[j]:.6g}{batch}, ||x_k|| = {math.hypot(*x[bad]):.6g} "
+                    f"at k={k})",
+                    seed=cfg.seed, trial=bad, step=k + 1)
+            if (k0 + j) % stride == 0:
+                kept.append(t_val)
+
+        # record: the block's rows with k % stride == 0, then the final row
+        # when the block ends the run
+        steps = slice(-k0 % stride, m, stride)
+        rows = list(range(m)[steps]) + ([m] if final else [])
+        r, r_step = len(rows), len(kept)
+        if r:
+            points = X[rows]
+            if stochastic:
+                # BLAS takes a lone point (T = 1, one record row) through its
+                # matrix-vector product, which may round differently from the
+                # matrix product of a longer stack; two copies avoid it
+                flat = points.reshape(-1, dim)
+                if len(flat) == 1:
+                    flat = np.repeat(flat, 2, axis=0)
+                means = family._exact_mean(flat)[:r * trials].reshape(points.shape)
+            else:  # t_k is T(x_k); the final row takes the step's call
+                if final:
+                    kept.append(family._exact_mean(xs[m]))
+                means = np.stack(kept)
+            diffs = np.empty((5, r, trials, dim))
+            np.subtract(points, means, out=diffs[0])
+            np.subtract(points, refs, out=diffs[1:3])
+            if r_step:
+                np.subtract(kept[:r_step], refs[1], out=diffs[3, :r_step])
+                np.subtract(X[1:][steps], X[steps], out=diffs[4, :r_step])
+            diffs[3:, r_step:] = np.nan
+            sq[:, :, row:row + r] = np.einsum("frti,frti->frt", diffs, diffs).transpose(0, 2, 1)
+            row += r
+        X[0] = X[m]
 
     residuals, f0s, dists, batch_dists, step_norms = sq
     np.sqrt(residuals, out=residuals)
@@ -291,4 +363,5 @@ def _iterate(problem: Problem, cfg: SolverConfig, trials: int,
         dists = batch_dists = None
     return _Trace(ks=ks, alphas=alphas[ks], batch_sizes=batches[ks],
                   residuals=residuals, f0_values=f0s, dist_sq=dists,
-                  batch_dist_sq=batch_dists, step_norms=step_norms, final_points=x)
+                  batch_dist_sq=batch_dists, step_norms=step_norms,
+                  final_points=X[0].copy())

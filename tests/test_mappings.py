@@ -199,7 +199,8 @@ def test_averaged_family_shares_fixed_points():
 
 @pytest.mark.parametrize("label", ["projection", "gradient", "blend"])
 def test_weighted_mean_matches_componentwise_sum(label):
-    # each family's stacked form against sum_i W[t, j, i] * eval_all(X[t])[i]
+    # each family's stacked form, and its exact mean, against
+    # sum_i W[t, j, i] * eval_all(X[t])[i]
     from stochfp import MappingFamily, random_halfspace_problem, random_quadratic_problem
     families = {
         "projection": lambda: random_halfspace_problem(30, 5, gen_seed=4).family,
@@ -216,8 +217,9 @@ def test_weighted_mean_matches_componentwise_sum(label):
     assert got.shape == (4, 3, fam.dim)
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
     for t in range(4):
-        np.testing.assert_allclose(got[t, 0], fam.eval_all(X[t]).mean(axis=0),
-                                   rtol=1e-12, atol=1e-13)
+        for value in (got[t, 0], fam.mean(X[t])):
+            np.testing.assert_allclose(value, fam.eval_all(X[t]).mean(axis=0),
+                                       rtol=1e-12, atol=1e-13)
 
 
 @pytest.mark.parametrize("label", ["projection", "gradient", "callable", "blend"])

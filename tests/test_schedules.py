@@ -69,6 +69,35 @@ def test_batch_overflow_saturates():
     assert BatchSchedule.exponential(2, 10.0, cap=1024).at(400) == 1024
 
 
+STEP_KINDS = [StepSchedule.poly(0.25), StepSchedule.poly(1.0),
+              StepSchedule.lambda_poly(0.7, 0.6), StepSchedule.constant(0.3),
+              StepSchedule.constant(1)]
+BATCH_KINDS = [BatchSchedule.constant(7), BatchSchedule.polynomial(0.5, 0.25, 1.0),
+               BatchSchedule.polynomial(1.0, 1.0, 2.5, cap=1000),
+               BatchSchedule.exponential(4, 1.01, cap=2**16),
+               BatchSchedule.exponential(0.3, 1.5, cap=10**30),
+               BatchSchedule.exponential(4, 1.5)]
+
+
+@pytest.mark.parametrize("step", STEP_KINDS, ids=StepSchedule.describe)
+def test_step_values_are_the_scalar_steps_bit_for_bit(step):
+    vals = step.values(2000)
+    assert vals.dtype == float
+    assert vals.tolist() == [step.at(k) for k in range(2000)]
+
+
+@pytest.mark.parametrize("batch", BATCH_KINDS, ids=BatchSchedule.describe)
+def test_batch_values_are_the_scalar_sizes_bit_for_bit(batch):
+    # the last kind is uncapped: 4 * 1.5**k is an inf product from k=1748
+    # and raises OverflowError in the power from k=1751; inf as a float,
+    # 2^62 as an emitted size
+    floats = batch.values_float(2000)
+    assert floats.tolist() == [batch._emitted(k) for k in range(2000)]
+    assert batch.values(2000).tolist() == [batch.at(k) for k in range(2000)]
+    if batch.cap is None and batch.kind == "exponential":
+        assert floats[-1] == np.inf and batch.values(2000)[-1] == 2**62
+
+
 def test_batch_monotone_nondecreasing():
     for b in (BatchSchedule.polynomial(0.7, 2.0, 1.5),
               BatchSchedule.exponential(3, 1.2)):

@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from stochfp import (AveragedFamily, BatchSchedule, CallableFamily, Halfspace,
                      two_halfspace_problem)
 from stochfp.core import DivergenceError
 from stochfp.sampling import BatchStream
+from stochfp import solvers
 from stochfp.solvers import _run_trials
 
 from reference_loop import reference_run
@@ -245,6 +249,95 @@ def test_ensemble_row_matches_per_trial_reference(label, method):
     for key, expected in reference_run(problem, cfg, x_star, trial=2).items():
         got = getattr(trace, "final_points" if key == "final_point" else key)[2]
         _assert_matches_reference(got, expected, key)
+
+
+BLOCK_PROBLEMS = {
+    "halfspace": lambda: random_halfspace_problem(10, 4, gen_seed=3),
+    "quadratic": lambda: random_quadratic_problem(8, 3, gen_seed=2),
+    "callable": _callable_problem,
+}
+# b < n throughout, b >= n throughout, and 2 -> 64 across every n above
+BLOCK_BATCHES = [BatchSchedule.constant(2), BatchSchedule.constant(16),
+                 BatchSchedule.exponential(2, 1.1, cap=64)]
+
+
+def _trials_at_block_lengths(monkeypatch, problem, cfg, trials):
+    """``_run_trials`` with blocks of 1, 3 and the default number of iterations."""
+    traces = []
+    for length in (1, 3, solvers._BLOCK):
+        monkeypatch.setattr(solvers, "_BLOCK", length)
+        traces.append(_run_trials(problem, cfg, trials))
+    return traces
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize("method", list(REFERENCE_METHODS))
+@pytest.mark.parametrize("label", list(BLOCK_PROBLEMS))
+def test_output_does_not_depend_on_the_block_length(monkeypatch, label, method, stride):
+    # K = 40 is a multiple of neither 3 nor 7; the default length takes the
+    # whole run in one block.  With one trial a block may hold a single
+    # record point.
+    problem = BLOCK_PROBLEMS[label]()
+    batches = BLOCK_BATCHES if method.startswith("stoch") else [None]
+    for batch in batches:
+        cfg = SolverConfig(method=method, iterations=40, seed=977, batch=batch,
+                           record_every=stride, **REFERENCE_METHODS[method])
+        for trials in (1, 3):
+            first, *others = _trials_at_block_lengths(monkeypatch, problem, cfg, trials)
+            for other in others:
+                for field in dataclasses.fields(first):
+                    np.testing.assert_array_equal(getattr(other, field.name),
+                                                  getattr(first, field.name),
+                                                  err_msg=f"{field.name}, {batch}, T={trials}")
+
+
+def _finite_only(component):
+    def guarded(x):
+        if not np.all(np.isfinite(x)):
+            raise AssertionError(f"component evaluated at a non-finite point {x}")
+        return component(x)
+    return guarded
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergence_in_a_later_block_is_reported_as_with_single_steps(monkeypatch):
+    # each draw of component 2 multiplies the iterate by 1e60, so a trial
+    # overflows on its sixth such draw, after the first block of 3; no
+    # component may ever see the non-finite iterate
+    fam = CallableFamily([_finite_only(lambda x: x), _finite_only(lambda x: 1e60 * x)], dim=1)
+    problem = Problem(family=fam, x0=np.array([1.0]))
+    cfg = SolverConfig(method="stoch_km", step=StepSchedule.constant(0.9),
+                       batch=BatchSchedule.constant(1), iterations=200, seed=4,
+                       record_every=5)
+    errors = []
+    for length in (1, 3):
+        monkeypatch.setattr(solvers, "_BLOCK", length)
+        with pytest.raises(DivergenceError) as err:
+            _run_trials(problem, cfg, 3)
+        errors.append(err.value)
+    single, blocked = errors
+    assert single.step > 3
+    assert ((blocked.seed, blocked.trial, blocked.step, str(blocked))
+            == (single.seed, single.trial, single.step, str(single)))
+
+
+def test_memory_does_not_grow_with_the_iteration_count():
+    # a (K, T, n) buffer would add T*n*8 = 3200 bytes per iteration; the
+    # schedule arrays add less than 100
+    problem = random_quadratic_problem(50, 10, gen_seed=3)
+    resolve_oracle(problem)
+    peaks = []
+    for iterations in (500, 5000):
+        cfg = SolverConfig(method="stoch_halpern", step=StepSchedule.poly(0.5),
+                           batch=BatchSchedule.exponential(16, 1.01, cap=256),
+                           iterations=iterations, seed=3, record_every=iterations)
+        tracemalloc.start()
+        try:
+            _run_trials(problem, cfg, 8)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 100 * 4500
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
