@@ -16,8 +16,7 @@ from .mappings import (AveragedFamily, GradientFamily, Halfspace,
 from .schedules import (BatchSchedule, ConditionScan, StepSchedule,
                         ValidationReport, validate)
 from .sampling import BatchDraw, apply_mini_batch, iteration_rng, sample_batch
-from .solvers import (METHODS, STOCHASTIC_METHODS, SolverConfig, halpern_step,
-                      km_step, run)
+from .solvers import METHODS, STOCHASTIC_METHODS, SolverConfig, run
 from .diagnostics import (OracleResult, TheoremConstants, averaged_rate_bound,
                           default_probes, ensemble, estimate_sigma_sq,
                           fit_rate, oracle_feasibility, oracle_quadratic,
@@ -40,7 +39,7 @@ __all__ = [
     "validate",
     "BatchDraw", "sample_batch", "apply_mini_batch", "iteration_rng",
     "METHODS", "STOCHASTIC_METHODS", "SolverConfig",
-    "halpern_step", "km_step", "run",
+    "run",
     "OracleResult", "TheoremConstants",
     "oracle_feasibility", "oracle_quadratic", "resolve_oracle",
     "estimate_sigma_sq", "sample_ball", "default_probes",

@@ -288,24 +288,23 @@ def method_conditions_ok(report: ValidationReport, method: str) -> tuple[bool, l
             reasons.append(text)
 
     if method in ("km", "stoch_km"):
-        need(report.km_step_sum_diverges, "sum alpha_k(1-alpha_k) must diverge")
         need(report.step_max < 1.0, "averaged methods need alpha_k < 1")
         if method == "stoch_km":
-            need(report.batch_inv_sqrt_summable, "sum 1/sqrt(b_k) must be finite")
+            need(report.root_batch_bound is not None, "sum 1/sqrt(b_k) must be finite")
     elif method == "halpern":
         need(report.step_vanishes, "alpha_k must vanish")
     elif method == "stoch_halpern":
         need(report.step_vanishes, "alpha_k must vanish")
         need(report.inv_b_le_alpha_sq.holds_eventually,
              "1/b_k <= alpha_k^2 never holds through the horizon")
-        need(report.batch_inv_sqrt_summable, "sum 1/sqrt(b_k) must be finite")
+        need(report.root_batch_bound is not None, "sum 1/sqrt(b_k) must be finite")
     elif method == "stoch_halpern_lambda":
         need(report.inv_b_le_alpha.holds_eventually,
              "1/b_k <= alpha_k never holds through the horizon")
         need(report.alpha_le_lambda_bound is not None
              and report.alpha_le_lambda_bound.holds_eventually,
              "alpha_k <= (2*lam-1)/(2*(1-lam)) never holds through the horizon")
-        need(report.batch_inv_summable, "sum 1/b_k must be finite")
+        need(report.batch_bound_B is not None, "sum 1/b_k must be finite")
     return (not reasons), reasons
 
 

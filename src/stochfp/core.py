@@ -81,12 +81,11 @@ class MappingFamily:
 
     Subclasses provide :meth:`eval_all`, returning the stacked component
     values at a point, and may override the two primitives the solvers call
-    with stacked forms over many points: :meth:`weighted_mean`, which
-    weights all ``n`` components (the exact mean, and batches of ``b >= n``
-    drawn as counts), and :meth:`sampled_mean`, which averages only the
-    drawn components (batches of ``b < n`` drawn as indices).  The engine
-    reaches the first through two private forms a family may override:
-    ``_weighted_mean``, given the weight sums, and ``_exact_mean``.
+    with stacked forms over many points: :meth:`weighted_mean`, the mean
+    under one probability row over all ``n`` components per point (uniform
+    rows give the exact mean, ``counts / b`` a batch of ``b >= n`` drawn as
+    counts), and :meth:`sampled_mean`, which averages only the drawn
+    components (batches of ``b < n`` drawn as indices).
     Component indices are 1-based in the public API, matching the sampling
     convention; row ``i`` of :meth:`eval_all` holds ``T_{i+1}(x)``.
 
@@ -134,25 +133,21 @@ class MappingFamily:
         return self.eval_all(xa)[i - 1]
 
     def weighted_mean(self, X: np.ndarray, W: np.ndarray) -> np.ndarray:
-        """Weighted component sums ``out[t, j] = sum_i W[t, j, i] * T_i(X[t])``.
+        """Weighted means ``out[t] = sum_i W[t, i] * T_i(X[t])``.
 
-        ``X`` is a ``(T, d)`` stack of points and ``W`` a ``(T, m, n)`` stack
-        of weight rows; the result is ``(T, m, d)``.  Uniform weights ``1/n``
-        give the exact mean and ``counts / b`` a sampled mini-batch mean, so
-        one call serves both.  Hot path: skips point validation.  This
-        generic version evaluates every component per point; the built-in
-        families override it with stacked array forms.
+        ``X`` is a ``(T, d)`` stack of points and ``W`` a ``(T, n)`` stack of
+        probability rows, each summing to one; the result is ``(T, d)``.
+        Uniform rows ``1/n`` give the exact mean and ``counts / b`` a
+        sampled mini-batch mean, so one call serves both.  The built-in
+        families rely on the rows summing to one.  Hot path: skips
+        validation.  This generic version evaluates every component per
+        point; the built-in families override it with stacked array forms.
         """
         return np.stack([W[t] @ self.eval_all(X[t]) for t in range(X.shape[0])])
 
-    def _weighted_mean(self, X: np.ndarray, W: np.ndarray, wsum: np.ndarray) -> np.ndarray:
-        """:meth:`weighted_mean` given ``wsum = W.sum(axis=-1)``, which the
-        engine computes once per block; families whose form uses it override this."""
-        return self.weighted_mean(X, W)
-
     def _exact_mean(self, X: np.ndarray) -> np.ndarray:
         """Exact means ``T(X[p])`` of a ``(P, d)`` stack of points; ``(P, d)``."""
-        return self.weighted_mean(X, np.full((X.shape[0], 1, self._n), 1.0 / self._n))[:, 0]
+        return self.weighted_mean(X, np.full((X.shape[0], self._n), 1.0 / self._n))
 
     def sampled_mean(self, X: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """Mini-batch means ``out[t] = (1/b) sum_j T_{idx[t, j] + 1}(X[t])``.

@@ -107,13 +107,10 @@ class ProjectionFamily(MappingFamily):
         return x[None, :] - coef[:, None] * self._A
 
     def weighted_mean(self, X: np.ndarray, W: np.ndarray) -> np.ndarray:
-        return self._weighted_mean(X, W, W.sum(axis=-1))
-
-    def _weighted_mean(self, X: np.ndarray, W: np.ndarray, wsum: np.ndarray) -> np.ndarray:
-        # sum_i w_i (x - c_i a_i) = (sum_i w_i) x - (w * c) @ A, without
-        # forming the (T, n, d) component values
+        # sum_i w_i (x - c_i a_i) = x - (w * c) @ A for rows summing to one,
+        # without forming the (T, n, d) component values
         coef = np.maximum(X @ self._A.T - self._beta, 0.0) * self._inv_norm_sq
-        return wsum[:, :, None] * X[:, None, :] - (W * coef[:, None, :]) @ self._A
+        return X - (W * coef) @ self._A
 
     def sampled_mean(self, X: np.ndarray, idx: np.ndarray) -> np.ndarray:
         # the same sum over the (T, b, d) drawn normals only
@@ -205,15 +202,15 @@ class GradientFamily(MappingFamily):
         values = (X @ self._G_rows.T).reshape(X.shape[0], self.n, self.dim)
         np.subtract(X[:, None, :], values, out=values)
         values += self._h
-        return W @ values
+        return (W[:, None, :] @ values)[:, 0]
 
     def sampled_mean(self, X: np.ndarray, idx: np.ndarray) -> np.ndarray:
         # the drawn counts weight the dense product: at small n and d a
         # (T, b, d, d) gather of G costs more than it
         trials, b = idx.shape
         flat = (idx + self.n * np.arange(trials)[:, None]).ravel()
-        counts = np.bincount(flat, minlength=trials * self.n).reshape(trials, 1, self.n)
-        return self.weighted_mean(X, counts / b)[:, 0]
+        counts = np.bincount(flat, minlength=trials * self.n).reshape(trials, self.n)
+        return self.weighted_mean(X, counts / b)
 
 
 class AveragedFamily(MappingFamily):
@@ -235,11 +232,7 @@ class AveragedFamily(MappingFamily):
         return self.lam * x[None, :] + (1.0 - self.lam) * self.base.eval_all(x)
 
     def weighted_mean(self, X: np.ndarray, W: np.ndarray) -> np.ndarray:
-        return self._weighted_mean(X, W, W.sum(axis=-1))
-
-    def _weighted_mean(self, X: np.ndarray, W: np.ndarray, wsum: np.ndarray) -> np.ndarray:
-        base = self.base._weighted_mean(X, W, wsum)
-        return self.lam * wsum[:, :, None] * X[:, None, :] + (1.0 - self.lam) * base
+        return self.lam * X + (1.0 - self.lam) * self.base.weighted_mean(X, W)
 
     def sampled_mean(self, X: np.ndarray, idx: np.ndarray) -> np.ndarray:
         return self.lam * X + (1.0 - self.lam) * self.base.sampled_mean(X, idx)

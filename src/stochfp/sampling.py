@@ -32,6 +32,15 @@ __all__ = ["iteration_rng", "BatchStream", "BatchDraw", "sample_batch",
            "apply_mini_batch"]
 
 
+def _is_index(value, bound: int) -> bool:
+    """Whether ``value`` is an integer in ``[0, bound)``.
+
+    Philox would truncate a float key or counter, silently running another
+    stream, so the API boundary admits integers only.
+    """
+    return isinstance(value, (int, np.integer)) and 0 <= value < bound
+
+
 def iteration_rng(seed: int, k: int) -> np.random.Generator:
     """Generator for iteration ``k`` of the stream ``seed``: Philox at counter ``(0, k, 0, 0)``."""
     return np.random.Generator(np.random.Philox(key=seed, counter=(0, k, 0, 0)))
@@ -108,6 +117,10 @@ def sample_batch(seed: int, k: int, n: int, b: int) -> BatchDraw:
     """
     if n < 1 or b < 1:
         raise ValueError("n and b must be >= 1")
+    if not _is_index(seed, 2**128):
+        raise ValueError(f"seed must be an integer in [0, 2**128), got {seed!r}")
+    if not _is_index(k, 2**64):
+        raise ValueError(f"iteration k must be an integer in [0, 2**64), got {k!r}")
     row = BatchStream(seed, n).draw(k, b, 1)[0]
     indices = row + 1 if b < n else np.repeat(np.arange(1, n + 1), row)
     return BatchDraw(indices=indices, n=n, k=k, seed=seed)

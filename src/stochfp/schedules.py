@@ -125,13 +125,6 @@ class StepSchedule:
         """Whether alpha_k -> 0 (true for the polynomially decreasing kinds)."""
         return self.kind in ("poly", "lambda_poly")
 
-    @property
-    def km_sum_diverges(self) -> bool:
-        """Whether sum(alpha_k * (1 - alpha_k)) diverges (averaged-iteration condition)."""
-        if self.kind == "constant":
-            return 0.0 < self.c < 1.0
-        return True
-
     def describe(self) -> str:
         if self.kind == "poly":
             return f"poly(a={self.a:g})"
@@ -255,24 +248,6 @@ class BatchSchedule:
         """``at(k)`` for ``k < horizon`` as int64, saturated at 2^62 likewise."""
         return np.minimum(self.values_float(horizon), float(_HUGE_BATCH)).astype(np.int64)
 
-    @property
-    def inv_sqrt_summable(self) -> bool:
-        """Analytic certificate for sum(1/sqrt(b_k)) < infinity, ignoring any cap."""
-        if self.kind == "exponential":
-            return True
-        if self.kind == "polynomial":
-            return self.c > 2.0
-        return False
-
-    @property
-    def inv_summable(self) -> bool:
-        """Analytic certificate for sum(1/b_k) < infinity, ignoring any cap."""
-        if self.kind == "exponential":
-            return True
-        if self.kind == "polynomial":
-            return self.c > 1.0
-        return False
-
     def describe(self) -> str:
         if self.kind == "constant":
             s = f"constant(b={self.b})"
@@ -324,7 +299,7 @@ def batch_inv_sqrt_sum_bound(batch: BatchSchedule) -> float | None:
     Obtained by applying the 1/b_k bound pattern at exponent 1/2: the
     exponential case is the exact geometric limit
     ``sqrt(delta) / ((sqrt(delta) - 1) * sqrt(b0))``; the polynomial case
-    requires ``c > 2``.
+    requires ``c > 2``.  ``None`` when neither applies.
     """
     if batch.kind == "exponential":
         r = math.sqrt(batch.delta)
@@ -382,7 +357,9 @@ class ValidationReport:
     Pointwise scans cover ``1/b_k <= alpha_k``, ``1/b_k <= alpha_k^2`` and,
     when a blend weight is supplied, ``alpha_k <= (2*lam-1)/(2*(1-lam))``.
     Partial sums are over the actually emitted values (floors and caps
-    included); the analytic flags certify tail behaviour by schedule kind.
+    included).  ``batch_bound_B`` and ``root_batch_bound`` are the
+    closed-form tail certificates by schedule kind, ``None`` where the kind
+    certifies no summability.
     """
 
     horizon: int
@@ -398,9 +375,6 @@ class ValidationReport:
     root_batch_bound: float | None
     sum_inv_sqrt_b_le_root_bound: bool | None
     step_vanishes: bool
-    km_step_sum_diverges: bool
-    batch_inv_sqrt_summable: bool
-    batch_inv_summable: bool
     cap_hit: bool
     step_max: float
 
@@ -430,11 +404,10 @@ class ValidationReport:
                 out.append(f"root-sum bound = {self.root_batch_bound:.12g} "
                            f"(sum 1/sqrt(b_k) {ok} bound)")
         out.append(f"step vanishes: {self.step_vanishes}")
-        out.append(f"sum alpha(1-alpha) diverges: {self.km_step_sum_diverges}")
         if include_batch:
             out.append(f"1/sqrt(b_k) summable (by kind, ignoring cap): "
-                       f"{self.batch_inv_sqrt_summable}; "
-                       f"1/b_k summable: {self.batch_inv_summable}")
+                       f"{self.root_batch_bound is not None}; "
+                       f"1/b_k summable: {self.batch_bound_B is not None}")
             if self.cap_hit:
                 out.append("warning: batch cap reached within horizon; tail "
                            "summability certificates do not apply to the capped tail")
@@ -481,9 +454,6 @@ def validate(step: StepSchedule, batch: BatchSchedule, horizon: int,
             None if root_b is None else bool(sum_inv_sqrt_b <= root_b * (1 + 1e-12))
         ),
         step_vanishes=step.vanishes,
-        km_step_sum_diverges=step.km_sum_diverges,
-        batch_inv_sqrt_summable=batch.inv_sqrt_summable,
-        batch_inv_summable=batch.inv_summable,
         cap_hit=cap_hit,
         step_max=step.max_value,
     )

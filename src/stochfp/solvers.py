@@ -40,11 +40,10 @@ import numpy as np
 
 from .core import DivergenceError, Problem, RunRecord, as_point
 from .mappings import AveragedFamily
-from .sampling import BatchStream
+from .sampling import BatchStream, _is_index
 from .schedules import BatchSchedule, StepSchedule, _lambda_step_cap
 
-__all__ = ["METHODS", "STOCHASTIC_METHODS", "FieldError", "SolverConfig",
-           "halpern_step", "km_step", "run"]
+__all__ = ["METHODS", "STOCHASTIC_METHODS", "FieldError", "SolverConfig", "run"]
 
 #: most iterations in one block of the engine; longer blocks save no
 #: measurable time
@@ -71,7 +70,8 @@ class SolverConfig:
     ``batch`` is ignored by the deterministic methods.  For
     ``stoch_halpern_lambda`` the blend weight must lie in (1/2, 3/4], the
     range on which the step cap ``(2*lam-1)/(2*(1-lam))`` stays in (0, 1].
-    ``seed`` must lie in ``[0, 2**128)``, the key range of the Philox stream.
+    ``seed`` must be an integer in ``[0, 2**128)``, the key range of the
+    Philox stream.
     """
 
     method: str
@@ -85,8 +85,9 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise FieldError("method", f"unknown method {self.method!r}; choose from {METHODS}")
-        if not 0 <= self.seed < 2**128:
-            raise FieldError("seed", f"seed must lie in [0, 2**128), got {self.seed}")
+        if not _is_index(self.seed, 2**128):
+            raise FieldError("seed",
+                             f"seed must be an integer in [0, 2**128), got {self.seed!r}")
         if self.iterations < 1:
             raise FieldError("iterations", "iterations must be >= 1")
         if self.record_every < 1:
@@ -102,28 +103,6 @@ class SolverConfig:
     @property
     def stochastic(self) -> bool:
         return self.method in STOCHASTIC_METHODS
-
-
-def halpern_step(anchor, t_val, alpha: float) -> np.ndarray:
-    """Anchored update ``alpha*anchor + (1-alpha)*t_val`` with ``alpha in (0, 1]``."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"anchored step needs alpha in (0, 1], got {alpha}")
-    a = np.asarray(anchor, dtype=float)
-    t = np.asarray(t_val, dtype=float)
-    if a.shape != t.shape:
-        raise ValueError("anchor and mapped value must have the same shape")
-    return alpha * a + (1.0 - alpha) * t
-
-
-def km_step(x, t_val, alpha: float) -> np.ndarray:
-    """Averaged update ``(1-alpha)*x + alpha*t_val`` with ``alpha in (0, 1)``."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"averaged step needs alpha in (0, 1), got {alpha}")
-    xa = np.asarray(x, dtype=float)
-    t = np.asarray(t_val, dtype=float)
-    if xa.shape != t.shape:
-        raise ValueError("iterate and mapped value must have the same shape")
-    return (1.0 - alpha) * xa + alpha * t
 
 
 def _validate_run(problem: Problem, cfg: SolverConfig) -> None:
@@ -212,13 +191,13 @@ def _iterate(problem: Problem, cfg: SolverConfig, trials: int,
     phases:
 
     1. *Draw.*  The block's ``B`` draws on the stream.  Count draws
-       (``b_k >= n``) go into a ``(B, T, 1, n)`` weight buffer that one
-       divide turns into ``counts / b_k`` and one sum into its row sums;
-       index draws (``b_k < n``) are kept as they are.
-    2. *Step.*  Per iteration one sampled-mean call: the private form of
-       :meth:`MappingFamily.weighted_mean` on that iteration's weight row and
-       its precomputed sum, or :meth:`MappingFamily.sampled_mean` on its
-       indices, or the exact mean for the deterministic methods.  The update
+       (``b_k >= n``) go into a ``(B, T, n)`` weight buffer that one divide
+       turns into the probability rows ``counts / b_k``; index draws
+       (``b_k < n``) are kept as they are.
+    2. *Step.*  Per iteration one sampled-mean call:
+       :meth:`MappingFamily.weighted_mean` on that iteration's ``(T, n)``
+       weight rows, or :meth:`MappingFamily.sampled_mean` on its indices,
+       or the exact mean for the deterministic methods.  The update
        uses the block's precomputed ``alpha_k * x0`` and ``1 - alpha_k`` and
        is written into a ``(B + 1, T, d)`` iterate buffer, which is checked
        for non-finite values before any family sees it.
@@ -268,7 +247,7 @@ def _iterate(problem: Problem, cfg: SolverConfig, trials: int,
     X[0] = x0
     xs = list(X)  # row views, made once
     if dense:
-        W = np.zeros((block, trials, 1, n))
+        W = np.zeros((block, trials, n))
         ws = list(W)
     if stochastic:
         stream = BatchStream(cfg.seed, n)
@@ -290,10 +269,9 @@ def _iterate(problem: Problem, cfg: SolverConfig, trials: int,
                 if b < n:
                     draws[j] = stream.draw(k0 + j, b, trials)
                 else:
-                    W[j, :, 0] = stream.draw(k0 + j, b, trials)
+                    W[j] = stream.draw(k0 + j, b, trials)
             if dense:
-                W[:m] /= sizes[k0:k0 + m, None, None, None]
-                wsums = list(W[:m].sum(axis=-1))
+                W[:m] /= sizes[k0:k0 + m, None, None]
 
         # step; t_k is kept on the record rows
         kept = []
@@ -304,7 +282,7 @@ def _iterate(problem: Problem, cfg: SolverConfig, trials: int,
             elif size_list[j] < n:
                 t_val = family.sampled_mean(x, draws[j])
             else:
-                t_val = family._weighted_mean(x, ws[j], wsums[j])[:, 0]
+                t_val = family.weighted_mean(x, ws[j])
             if anchored:
                 np.multiply(t_val, one_minus[j], out=x_next)
                 x_next += anchor_terms[j]

@@ -4,13 +4,14 @@ One trial, one point at a time: every component through ``eval_all``, the
 exact mean as their average, the sampled mean from row ``trial`` of a fresh
 ``iteration_rng(seed, k)`` draw per iteration (``b`` indices for ``b < n``,
 otherwise the multinomial counts), the schedules through ``.at(k)``, and the
-public ``halpern_step`` / ``km_step`` updates.  It records the same fields
+anchored update ``alpha*x0 + (1-alpha)*t`` or the averaged update
+``(1-alpha)*x + alpha*t`` written out per step.  It records the same fields
 as :class:`stochfp.RunRecord`.
 """
 
 import numpy as np
 
-from stochfp import halpern_step, iteration_rng, km_step
+from stochfp import iteration_rng
 
 ANCHORED = ("halpern", "stoch_halpern", "stoch_halpern_lambda")
 
@@ -47,8 +48,8 @@ def reference_run(problem, cfg, x_star=None, trial=0):
         if cfg.lam is not None:
             t_val = cfg.lam * x + (1.0 - cfg.lam) * t_val
         alpha = cfg.step.at(k)
-        x_next = (halpern_step(x0, t_val, alpha) if cfg.method in ANCHORED
-                  else km_step(x, t_val, alpha))
+        x_next = (alpha * x0 + (1.0 - alpha) * t_val if cfg.method in ANCHORED
+                  else (1.0 - alpha) * x + alpha * t_val)
         if record:
             if x_star is not None:
                 out["batch_dist_sq"].append(np.sum((t_val - x_star) ** 2))

@@ -248,13 +248,20 @@ def test_validate_exit_0_and_prints_bound(tmp_path, capsys):
 
 
 def test_validate_exit_4_constant_batch(tmp_path, capsys):
-    text = VALIDATE_OK.format(prefix=tmp_path / "v")
-    text = text.replace("kind = exponential\nb0 = 32\ndelta = 2.0",
-                        "kind = constant\nb = 4")
-    cfg = _write(tmp_path, text)
-    assert cli.validate_only(cfg) == 4
-    out = capsys.readouterr().out
-    assert "NOT satisfied" in out
+    # also an averaged method on constant(1), the one step schedule whose
+    # sum alpha_k(1-alpha_k) converges
+    ok = VALIDATE_OK.format(prefix=tmp_path / "v")
+    for old, new, reason in [
+        ("kind = exponential\nb0 = 32\ndelta = 2.0", "kind = constant\nb = 4",
+         "sum 1/sqrt(b_k) must be finite"),
+        ("name = stoch_halpern\n\n[step]\nkind = poly\na = 0.5",
+         "name = stoch_km\n\n[step]\nkind = constant\nc = 1.0",
+         "averaged methods need alpha_k < 1"),
+    ]:
+        cfg = _write(tmp_path, ok.replace(old, new))
+        assert cli.validate_only(cfg) == 4
+        out = capsys.readouterr().out
+        assert "NOT satisfied" in out and reason in out
 
 
 def test_validate_reports_never_within_horizon(tmp_path, capsys):

@@ -200,7 +200,7 @@ def test_averaged_family_shares_fixed_points():
 @pytest.mark.parametrize("label", ["projection", "gradient", "blend"])
 def test_weighted_mean_matches_componentwise_sum(label):
     # each family's stacked form, and its exact mean, against
-    # sum_i W[t, j, i] * eval_all(X[t])[i]
+    # sum_i W[t, i] * eval_all(X[t])[i] for probability rows W[t]
     from stochfp import MappingFamily, random_halfspace_problem, random_quadratic_problem
     families = {
         "projection": lambda: random_halfspace_problem(30, 5, gen_seed=4).family,
@@ -210,14 +210,15 @@ def test_weighted_mean_matches_componentwise_sum(label):
     fam = families[label]()
     rng = np.random.default_rng(8)
     X = rng.standard_normal((4, fam.dim)) * 3
-    W = rng.random((4, 3, fam.n))
-    W[:, 0] = 1.0 / fam.n
+    W = rng.random((4, fam.n))
+    W /= W.sum(axis=1, keepdims=True)
     got = fam.weighted_mean(X, W)
     expected = MappingFamily.weighted_mean(fam, X, W)
-    assert got.shape == (4, 3, fam.dim)
+    assert got.shape == (4, fam.dim)
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+    uniform = fam.weighted_mean(X, np.full((4, fam.n), 1.0 / fam.n))
     for t in range(4):
-        for value in (got[t, 0], fam.mean(X[t])):
+        for value in (uniform[t], fam.mean(X[t])):
             np.testing.assert_allclose(value, fam.eval_all(X[t]).mean(axis=0),
                                        rtol=1e-12, atol=1e-13)
 
@@ -241,9 +242,9 @@ def test_sampled_mean_matches_count_weighted_mean(label):
     X = rng.standard_normal((4, fam.dim)) * 3
     for b in (1, 4, fam.n - 1):
         idx = rng.integers(0, fam.n, (4, b))
-        W = np.stack([np.bincount(row, minlength=fam.n) / b for row in idx])[:, None, :]
+        W = np.stack([np.bincount(row, minlength=fam.n) / b for row in idx])
         got = fam.sampled_mean(X, idx)
-        expected = fam.weighted_mean(X, W)[:, 0]
+        expected = fam.weighted_mean(X, W)
         assert got.shape == (4, fam.dim)
         for value in (got, MappingFamily.sampled_mean(fam, X, idx)):
             np.testing.assert_allclose(value, expected, rtol=1e-12,

@@ -122,6 +122,15 @@ def test_sample_batch_is_the_solver_draw():
             assert np.all(np.diff(draw.indices) >= 0)
 
 
+@pytest.mark.parametrize("seed, k, field", [(1.5, 0, "seed"), (1, -1, "iteration"),
+                                             (1, 2**64, "iteration"), (1, 2.0, "iteration")])
+def test_sample_batch_rejects_a_key_or_counter_philox_cannot_hold(seed, k, field):
+    # a float would be truncated to another stream's draw, and a negative or
+    # too large k overflows the counter word
+    with pytest.raises(ValueError, match=field):
+        sample_batch(seed, k, 3, 2)
+
+
 def test_draw_validates_indices():
     with pytest.raises(ValueError):
         BatchDraw(indices=np.array([0, 1]), n=3, k=0, seed=0)

@@ -138,7 +138,7 @@ def test_validate_reports_lambda_bound_scan():
 
 def test_validate_never_raises_on_infeasible():
     rep = validate(StepSchedule.constant(0.5), BatchSchedule.constant(1), 10)
-    assert not rep.batch_inv_sqrt_summable
+    assert rep.root_batch_bound is None
     assert not rep.step_vanishes
 
 
@@ -182,7 +182,7 @@ def test_polynomial_batch_bounds(horizon):
     assert rep.sum_inv_b == pytest.approx(float(np.sum(ks**-3)), rel=1e-12)
     assert rep.sum_inv_b <= batch_inv_sum_bound(b) * (1 + 1e-12)
     assert rep.sum_inv_sqrt_b <= batch_inv_sqrt_sum_bound(b) * (1 + 1e-12)
-    assert b.inv_sqrt_summable and b.inv_summable
+    assert batch_inv_sum_bound(b) is not None and batch_inv_sqrt_sum_bound(b) is not None
 
 
 def test_constant_batch_root_sum_grows_linearly():
@@ -193,7 +193,7 @@ def test_constant_batch_root_sum_grows_linearly():
         s2 = validate(step, b, 2 * horizon).sum_inv_sqrt_b
         assert s2 >= 1.9 * s1
     assert batch_inv_sum_bound(b) is None
-    assert not b.inv_sqrt_summable
+    assert batch_inv_sqrt_sum_bound(b) is None
 
 
 def test_cap_hit_reported():

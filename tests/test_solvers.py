@@ -6,51 +6,15 @@ import pytest
 
 from stochfp import (AveragedFamily, BatchSchedule, CallableFamily, Halfspace,
                      Problem, ProjectionFamily, STOCHASTIC_METHODS,
-                     SolverConfig, StepSchedule, ensemble, halpern_step,
-                     km_step, random_halfspace_problem,
-                     random_quadratic_problem, resolve_oracle, run,
-                     two_halfspace_problem)
+                     SolverConfig, StepSchedule, ensemble,
+                     random_halfspace_problem, random_quadratic_problem,
+                     resolve_oracle, run, two_halfspace_problem)
 from stochfp.core import DivergenceError
 from stochfp.sampling import BatchStream
 from stochfp import solvers
-from stochfp.solvers import _run_trials
+from stochfp.solvers import FieldError, _run_trials
 
 from reference_loop import reference_run
-
-
-def test_halpern_step_examples():
-    x0 = np.array([0.0, 0.0])
-    t = np.array([2.0, 2.0])
-    np.testing.assert_allclose(halpern_step(x0, t, 1.0), x0)
-    np.testing.assert_allclose(halpern_step(x0, t, 0.5), [1.0, 1.0])
-    np.testing.assert_allclose(halpern_step(x0, x0, 0.3), x0)
-
-
-def test_halpern_step_alpha_range():
-    x = np.zeros(2)
-    with pytest.raises(ValueError):
-        halpern_step(x, x, 0.0)
-    with pytest.raises(ValueError):
-        halpern_step(x, x, 1.1)
-    with pytest.raises(ValueError):
-        halpern_step(np.zeros(2), np.zeros(3), 0.5)
-
-
-def test_km_step_examples():
-    x = np.array([0.0, 0.0])
-    t = np.array([2.0, 2.0])
-    np.testing.assert_allclose(km_step(x, t, 0.5), [1.0, 1.0])
-    np.testing.assert_allclose(km_step(t, t, 0.7), t)
-    out = km_step(x, t, 0.05)
-    assert np.linalg.norm(out - t) < np.linalg.norm(x - t)
-
-
-def test_km_step_alpha_open_interval():
-    x = np.zeros(1)
-    with pytest.raises(ValueError):
-        km_step(x, x, 1.0)
-    with pytest.raises(ValueError):
-        km_step(x, x, 0.0)
 
 
 def _single_projection_problem():
@@ -160,6 +124,16 @@ def test_seed_outside_philox_key_range_rejected(seed):
                      iterations=10, seed=seed)
 
 
+def test_non_integer_seed_rejected():
+    # Philox would truncate the key 1.5 to 1 and silently run seed 1
+    with pytest.raises(FieldError) as err:
+        SolverConfig(method="halpern", step=StepSchedule.poly(0.5),
+                     iterations=10, seed=1.5)
+    assert err.value.field == "seed"
+    SolverConfig(method="halpern", step=StepSchedule.poly(0.5),
+                 iterations=10, seed=np.uint64(7))
+
+
 def test_stochastic_requires_batch():
     with pytest.raises(ValueError, match="batch"):
         SolverConfig(method="stoch_halpern", step=StepSchedule.poly(0.5),
@@ -214,7 +188,7 @@ REFERENCE_METHODS = {
 @pytest.mark.parametrize("label", list(REFERENCE_PROBLEMS))
 def test_run_matches_per_trial_reference(label, method):
     # the (T, d) engine at T=1 against a plain loop over eval_all,
-    # iteration_rng and halpern_step / km_step; record_every=3 exercises
+    # iteration_rng and the two update formulas; record_every=3 exercises
     # the iterations that evaluate only the sampled mean
     problem = REFERENCE_PROBLEMS[label]()
     batch = BatchSchedule.exponential(2, 1.1, cap=64) if method.startswith("stoch") else None
