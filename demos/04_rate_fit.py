@@ -1,7 +1,8 @@
 """Empirical decay exponents of the identity-blended anchored iteration.
 
 Fits the log-log slope of the anchor-objective gap for two step exponents
-and compares with the predicted power laws.
+and compares them with the exponents of the rate bound; a fitted slope
+may be steeper than its bound.
 """
 
 from stochfp import (BatchSchedule, SolverConfig, StepSchedule, ensemble,

@@ -146,7 +146,13 @@ class MappingFamily:
         return np.stack([W[t] @ self.eval_all(X[t]) for t in range(X.shape[0])])
 
     def _exact_mean(self, X: np.ndarray) -> np.ndarray:
-        """Exact means ``T(X[p])`` of a ``(P, d)`` stack of points; ``(P, d)``."""
+        """Exact means ``T(X[p])`` of a ``(P, d)`` stack of points; ``(P, d)``.
+
+        The one exact-mean entry point of the solvers.  This version passes
+        uniform ``1/n`` rows to :meth:`weighted_mean`, so it costs ``n``
+        component evaluations per point; a family whose mean map has a
+        cheaper closed form, such as an affine one, may override it.
+        """
         return self.weighted_mean(X, np.full((X.shape[0], self._n), 1.0 / self._n))
 
     def sampled_mean(self, X: np.ndarray, idx: np.ndarray) -> np.ndarray:

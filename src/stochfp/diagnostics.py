@@ -407,19 +407,21 @@ def fit_rate(stats: EnsembleStats, window: tuple[int, int]) -> float:
 
 
 def predicted_rate_exponent(step: StepSchedule) -> tuple[float | None, str]:
-    """Predicted power-law exponent of the objective gap for a step schedule.
+    """Exponent ``e`` of the rate bound ``gap <= C * k^e`` for a step schedule.
 
-    For the polynomially decreasing kinds with exponent ``a``: ``-a`` below
-    1/2, ``-1/2`` at 1/2 (with an extra log factor), ``-(1-a)`` above 1/2,
-    and no power law at ``a = 1`` (logarithmic decay only).
+    The exponent bounds the objective gap from above; it is not the expected
+    fitted slope, which may be steeper.  For the polynomially decreasing
+    kinds with exponent ``a``: ``-a`` below 1/2, ``-1/2`` at 1/2 (with an
+    extra log factor), ``-(1-a)`` above 1/2, and no power law at ``a = 1``
+    (a logarithmic bound only).
     """
     if step.kind not in ("poly", "lambda_poly"):
-        return None, "no power-law prediction for this step kind"
+        return None, "no power-law bound for this step kind"
     a = step.a
     if a < 0.5:
-        return -a, f"predicted exponent -a = {-a:g}"
+        return -a, f"gap <= C*k^e, bound exponent -a = {-a:g}"
     if a == 0.5:
-        return -0.5, "predicted exponent -1/2 (up to a log factor)"
+        return -0.5, "gap <= C*k^e, bound exponent -1/2 (up to a log factor)"
     if a < 1.0:
-        return -(1.0 - a), f"predicted exponent -(1-a) = {-(1.0 - a):g}"
-    return None, "logarithmic decay only (a = 1)"
+        return -(1.0 - a), f"gap <= C*k^e, bound exponent -(1-a) = {-(1.0 - a):g}"
+    return None, "logarithmic bound only (a = 1)"

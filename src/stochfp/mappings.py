@@ -14,6 +14,14 @@ nonexpansive, and the gradient steps are nonexpansive whenever
 ``eta <= 2 / L_i`` with ``L_i`` the largest eigenvalue of ``A_i^T A_i``.
 :class:`GradientFamily` computes ``L_max = max_i L_i`` exactly, by one
 batched eigensolve, and rejects any ``eta`` above ``2 / L_max``.
+
+Each gradient step is affine, ``T_i(x) = x - G_i x + h_i``, so the family
+contracts its means instead of forming the ``(T, n, d)`` component values:
+a weighted mean is ``x - (sum_i w_i G_i) x + sum_i w_i h_i``, one
+``(T, n) x (n, d^2)`` matrix product and a mat-vec per point, and the exact
+mean is ``x - G_bar x + h_bar`` with the averages precomputed, ``O(d^2)`` per
+point whatever ``n`` is.  The projection family has no such form; its
+means cost ``O(n d)`` per point.
 The lambda-averaging combinator blends any family with the identity,
 which preserves the fixed point set and shrinks the componentwise spread
 by a factor ``(1 - lambda)``.
@@ -188,25 +196,30 @@ class GradientFamily(MappingFamily):
                     f"2/L_max={2.0 / self.l_max}"
                 )
         # stacked eta * A_i^T A_i and eta * A_i^T b_i, so each component is
-        # T_i(x) = x - G_i x + h_i
+        # T_i(x) = x - G_i x + h_i, and their means for the exact mean
         self._G = self.eta * grams
         self._h = self.eta * np.stack([t.A.T @ t.b for t in terms])
-        self._G_rows = self._G.reshape(-1, dim)  # row i*d + r holds row r of G_i
+        self._G_flat = self._G.reshape(self.n, dim * dim)
+        self._G_bar = self._G.mean(axis=0)
+        self._h_bar = self._h.mean(axis=0)
 
     def eval_all(self, x: np.ndarray) -> np.ndarray:
         return x[None, :] - np.einsum("nij,j->ni", self._G, x) + self._h
 
     def weighted_mean(self, X: np.ndarray, W: np.ndarray) -> np.ndarray:
-        # the (T, n, d) component values X - G_i X + h_i, from one matrix
-        # product and built in place (einsum and fresh temporaries cost more)
-        values = (X @ self._G_rows.T).reshape(X.shape[0], self.n, self.dim)
-        np.subtract(X[:, None, :], values, out=values)
-        values += self._h
-        return (W[:, None, :] @ values)[:, 0]
+        # sum_i w_i (x - G_i x + h_i) = x - (sum_i w_i G_i) x + sum_i w_i h_i
+        # for rows summing to one: one (T, n) x (n, d^2) product and T
+        # mat-vecs, never the (T, n, d) component values
+        G_w = (W @ self._G_flat).reshape(-1, self.dim, self.dim)
+        return X - (G_w @ X[..., None])[..., 0] + W @ self._h
+
+    def _exact_mean(self, X: np.ndarray) -> np.ndarray:
+        # the mean map is the affine x - G_bar x + h_bar: O(d^2) per point
+        return X - X @ self._G_bar.T + self._h_bar
 
     def sampled_mean(self, X: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        # the drawn counts weight the dense product: at small n and d a
-        # (T, b, d, d) gather of G costs more than it
+        # the drawn counts weight the contraction: at small n and d a
+        # (T, b, d, d) gather of G costs more than the (T, n) x (n, d^2) product
         trials, b = idx.shape
         flat = (idx + self.n * np.arange(trials)[:, None]).ravel()
         counts = np.bincount(flat, minlength=trials * self.n).reshape(trials, self.n)
@@ -233,6 +246,9 @@ class AveragedFamily(MappingFamily):
 
     def weighted_mean(self, X: np.ndarray, W: np.ndarray) -> np.ndarray:
         return self.lam * X + (1.0 - self.lam) * self.base.weighted_mean(X, W)
+
+    def _exact_mean(self, X: np.ndarray) -> np.ndarray:
+        return self.lam * X + (1.0 - self.lam) * self.base._exact_mean(X)
 
     def sampled_mean(self, X: np.ndarray, idx: np.ndarray) -> np.ndarray:
         return self.lam * X + (1.0 - self.lam) * self.base.sampled_mean(X, idx)

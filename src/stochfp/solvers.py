@@ -71,7 +71,8 @@ class SolverConfig:
     ``stoch_halpern_lambda`` the blend weight must lie in (1/2, 3/4], the
     range on which the step cap ``(2*lam-1)/(2*(1-lam))`` stays in (0, 1].
     ``seed`` must be an integer in ``[0, 2**128)``, the key range of the
-    Philox stream.
+    Philox stream, and ``iterations`` and ``record_every`` integers
+    ``>= 1``; Python and NumPy integers are accepted.
     """
 
     method: str
@@ -88,10 +89,10 @@ class SolverConfig:
         if not _is_index(self.seed, 2**128):
             raise FieldError("seed",
                              f"seed must be an integer in [0, 2**128), got {self.seed!r}")
-        if self.iterations < 1:
-            raise FieldError("iterations", "iterations must be >= 1")
-        if self.record_every < 1:
-            raise FieldError("record_every", "record_every must be >= 1")
+        for name in ("iterations", "record_every"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise FieldError(name, f"{name} must be an integer >= 1, got {value!r}")
         if self.method == "stoch_halpern_lambda":
             if self.lam is None or not 0.5 < self.lam <= 0.75:
                 raise FieldError("lambda", "stoch_halpern_lambda requires lambda in (1/2, 3/4]")

@@ -197,7 +197,7 @@ def test_averaged_family_shares_fixed_points():
         assert avg_res <= (1 - lam) * base_res + 1e-12
 
 
-@pytest.mark.parametrize("label", ["projection", "gradient", "blend"])
+@pytest.mark.parametrize("label", ["projection", "gradient", "blend", "gradient-blend"])
 def test_weighted_mean_matches_componentwise_sum(label):
     # each family's stacked form, and its exact mean, against
     # sum_i W[t, i] * eval_all(X[t])[i] for probability rows W[t]
@@ -206,6 +206,7 @@ def test_weighted_mean_matches_componentwise_sum(label):
         "projection": lambda: random_halfspace_problem(30, 5, gen_seed=4).family,
         "gradient": lambda: random_quadratic_problem(9, 5, gen_seed=1).family,
         "blend": lambda: AveragedFamily(random_halfspace_problem(30, 5, gen_seed=4).family, 0.7),
+        "gradient-blend": lambda: AveragedFamily(random_quadratic_problem(9, 5, 1).family, 0.7),
     }
     fam = families[label]()
     rng = np.random.default_rng(8)
@@ -223,7 +224,8 @@ def test_weighted_mean_matches_componentwise_sum(label):
                                        rtol=1e-12, atol=1e-13)
 
 
-@pytest.mark.parametrize("label", ["projection", "gradient", "callable", "blend"])
+@pytest.mark.parametrize("label", ["projection", "gradient", "callable", "blend",
+                                   "gradient-blend"])
 def test_sampled_mean_matches_count_weighted_mean(label):
     # the index form, and the generic one, against weighted_mean with
     # weights bincount(idx) / b
@@ -236,6 +238,7 @@ def test_sampled_mean_matches_count_weighted_mean(label):
         "callable": lambda: CallableFamily(
             [lambda x, i=i: halfspaces.component(i + 1, x) for i in range(6)], dim=5),
         "blend": lambda: AveragedFamily(halfspaces, 0.7),
+        "gradient-blend": lambda: AveragedFamily(random_quadratic_problem(9, 5, 1).family, 0.7),
     }
     fam = families[label]()
     rng = np.random.default_rng(8)
@@ -249,3 +252,18 @@ def test_sampled_mean_matches_count_weighted_mean(label):
         for value in (got, MappingFamily.sampled_mean(fam, X, idx)):
             np.testing.assert_allclose(value, expected, rtol=1e-12,
                                        atol=1e-12 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("blend", [False, True])
+@pytest.mark.parametrize("points", [1, 7])
+def test_gradient_exact_mean_matches_mean_of_components(blend, points):
+    # the contracted exact mean x - G_bar x + h_bar, alone and blended,
+    # against the mean of the evaluated components
+    fam = random_quadratic_problem(9, 5, 1).family
+    if blend:
+        fam = AveragedFamily(fam, 0.7)
+    X = np.random.default_rng(3).standard_normal((points, fam.dim)) * 3
+    got = fam._exact_mean(X)
+    assert got.shape == (points, fam.dim)
+    for p in range(points):
+        np.testing.assert_allclose(got[p], fam.eval_all(X[p]).mean(axis=0), rtol=1e-12)

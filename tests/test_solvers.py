@@ -134,6 +134,23 @@ def test_non_integer_seed_rejected():
                  iterations=10, seed=np.uint64(7))
 
 
+def test_non_integer_iterations_and_stride_rejected():
+    # the engine ranges and slices over these counts, so a float must stop at
+    # the API boundary with the field named
+    step = StepSchedule.poly(0.5)
+    for fields, name in (({"iterations": 2.5}, "iterations"),
+                         ({"iterations": 3, "record_every": 1.5}, "record_every"),
+                         ({"iterations": 3.0}, "iterations"),
+                         ({"iterations": 0}, "iterations"),
+                         ({"iterations": 3, "record_every": 0}, "record_every")):
+        with pytest.raises(FieldError) as err:
+            SolverConfig(method="halpern", step=step, seed=1, **fields)
+        assert err.value.field == name
+    cfg = SolverConfig(method="halpern", step=step, seed=1, iterations=np.int64(3),
+                       record_every=np.int32(2))
+    assert run(_single_projection_problem(), cfg).ks.tolist() == [0, 2, 3]
+
+
 def test_stochastic_requires_batch():
     with pytest.raises(ValueError, match="batch"):
         SolverConfig(method="stoch_halpern", step=StepSchedule.poly(0.5),
