@@ -12,8 +12,10 @@ Exit codes: 0 success, 1 config error, 2 oracle failure, 3 diverged run
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,6 +34,7 @@ __all__ = ["ConfigError", "ExperimentConfig", "parse_config",
 
 CSV_HEADER = ("k,alpha,batch,residual_mean,residual_se,"
               "f0gap_mean,f0gap_se,msq_dist_mean,msq_dist_se")
+_CSV_ROW = "%d,%.17g,%d" + ",%.17g" * 6 + "\n"
 
 
 class ConfigError(ValueError):
@@ -121,6 +124,17 @@ class _Section:
             raise ConfigError(f"{self.path}:{lineno}: bad value for "
                               f"'{key}': {exc}") from exc
 
+    @contextmanager
+    def building(self):
+        """Report a constructor's ValueError as a config error of this section;
+        a ConfigError, which already cites its place, passes unchanged."""
+        try:
+            yield
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(f"{self.path}: [{self.name}]: {exc}") from exc
+
     def reject_unused(self):
         for lineno, key, _ in self.entries:
             if key not in self._used:
@@ -148,55 +162,44 @@ def _eta(text: str):
 
 def _build_problem(sec: _Section) -> Problem:
     kind = sec.get("kind", str, required=True).lower()
-    if kind == "halfspaces":
-        rows = sec.all("halfspace")
-        if not rows:
-            raise ConfigError(f"{sec.path}: [problem] kind=halfspaces needs "
-                              "at least one 'halfspace =' line")
-        halfspaces = []
-        for lineno, text in rows:
-            try:
-                halfspaces.append(_halfspace(text))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{sec.path}:{lineno}: bad halfspace: {exc}") from exc
-        x0 = sec.get("x0", _vector, required=True)
-        halfspaces = tuple(halfspaces)
-        try:
+    with sec.building():
+        if kind == "halfspaces":
+            rows = sec.all("halfspace")
+            if not rows:
+                raise ConfigError(f"{sec.path}: [problem] kind=halfspaces needs "
+                                  "at least one 'halfspace =' line")
+            halfspaces = []
+            for lineno, text in rows:
+                try:
+                    halfspaces.append(_halfspace(text))
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"{sec.path}:{lineno}: bad halfspace: {exc}") from exc
+            x0 = sec.get("x0", _vector, required=True)
+            halfspaces = tuple(halfspaces)
             problem = Problem(family=ProjectionFamily(halfspaces), x0=x0,
                               oracle_info=OracleInfo("halfspaces", halfspaces),
                               name="halfspaces")
-        except ValueError as exc:
-            raise ConfigError(f"{sec.path}: [problem]: {exc}") from exc
-    elif kind == "random_halfspaces":
-        n = sec.get("n", int, required=True)
-        dim = sec.get("dim", int, required=True)
-        gen_seed = sec.get("gen_seed", int, required=True)
-        scale = sec.get("anchor_scale", float, default=2.0)
-        try:
-            problem = random_halfspace_problem(n, dim, gen_seed, anchor_scale=scale)
-        except ValueError as exc:
-            raise ConfigError(f"{sec.path}: [problem]: {exc}") from exc
-    elif kind == "quadratic":
-        n = sec.get("n", int, required=True)
-        dim = sec.get("dim", int, required=True)
-        gen_seed = sec.get("gen_seed", int, required=True)
-        lo = sec.get("sv_lo", float, default=0.7)
-        hi = sec.get("sv_hi", float, default=1.0)
-        eta = sec.get("eta", _eta, default="auto")
-        try:
-            problem = random_quadratic_problem(n, dim, gen_seed,
-                                               sv_range=(lo, hi), eta=eta)
-        except ValueError as exc:
-            raise ConfigError(f"{sec.path}: [problem]: {exc}") from exc
-    else:
-        raise ConfigError(f"{sec.path}: [problem] has unknown kind '{kind}'")
+        elif kind == "random_halfspaces":
+            problem = random_halfspace_problem(
+                sec.get("n", int, required=True), sec.get("dim", int, required=True),
+                sec.get("gen_seed", int, required=True),
+                anchor_scale=sec.get("anchor_scale", float, default=2.0))
+        elif kind == "quadratic":
+            problem = random_quadratic_problem(
+                sec.get("n", int, required=True), sec.get("dim", int, required=True),
+                sec.get("gen_seed", int, required=True),
+                sv_range=(sec.get("sv_lo", float, default=0.7),
+                          sec.get("sv_hi", float, default=1.0)),
+                eta=sec.get("eta", _eta, default="auto"))
+        else:
+            raise ConfigError(f"{sec.path}: [problem] has unknown kind '{kind}'")
     sec.reject_unused()
     return problem
 
 
 def _build_step(sec: _Section) -> StepSchedule:
     kind = sec.get("kind", str, required=True).lower()
-    try:
+    with sec.building():
         if kind == "poly":
             sched = StepSchedule.poly(sec.get("a", float, required=True))
         elif kind == "lambda_poly":
@@ -206,8 +209,6 @@ def _build_step(sec: _Section) -> StepSchedule:
             sched = StepSchedule.constant(sec.get("c", float, required=True))
         else:
             raise ConfigError(f"{sec.path}: [step] has unknown kind '{kind}'")
-    except ValueError as exc:
-        raise ConfigError(f"{sec.path}: [step]: {exc}") from exc
     sec.reject_unused()
     return sched
 
@@ -217,7 +218,7 @@ def _build_batch(sec: _Section) -> BatchSchedule | None:
         return None
     kind = sec.get("kind", str, required=True).lower()
     cap = sec.get("cap", int)
-    try:
+    with sec.building():
         if kind == "constant":
             sched = BatchSchedule.constant(sec.get("b", int, required=True), cap=cap)
         elif kind == "polynomial":
@@ -231,8 +232,6 @@ def _build_batch(sec: _Section) -> BatchSchedule | None:
                                               cap=cap)
         else:
             raise ConfigError(f"{sec.path}: [batch] has unknown kind '{kind}'")
-    except ValueError as exc:
-        raise ConfigError(f"{sec.path}: [batch]: {exc}") from exc
     sec.reject_unused()
     return sched
 
@@ -287,10 +286,8 @@ def method_conditions_ok(report: ValidationReport, method: str) -> tuple[bool, l
         if not flag:
             reasons.append(text)
 
-    if method in ("km", "stoch_km"):
-        need(report.step_max < 1.0, "averaged methods need alpha_k < 1")
-        if method == "stoch_km":
-            need(report.root_batch_bound is not None, "sum 1/sqrt(b_k) must be finite")
+    if method == "stoch_km":
+        need(report.root_batch_bound is not None, "sum 1/sqrt(b_k) must be finite")
     elif method == "halpern":
         need(report.step_vanishes, "alpha_k must vanish")
     elif method == "stoch_halpern":
@@ -316,21 +313,12 @@ def _fmt(value: float) -> str:
 
 
 def _write_csv(path: str, stats) -> None:
+    columns = (stats.ks, stats.alphas, stats.batch_sizes, stats.residual_mean,
+               stats.residual_se, stats.f0gap_mean, stats.f0gap_se,
+               stats.msq_dist_mean, stats.msq_dist_se)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        for i, k in enumerate(stats.ks):
-            row = [
-                str(int(k)),
-                _fmt(stats.alphas[i]),
-                str(int(stats.batch_sizes[i])),
-                _fmt(stats.residual_mean[i]),
-                _fmt(stats.residual_se[i]),
-                _fmt(stats.f0gap_mean[i]),
-                _fmt(stats.f0gap_se[i]),
-                _fmt(stats.msq_dist_mean[i]),
-                _fmt(stats.msq_dist_se[i]),
-            ]
-            fh.write(",".join(row) + "\n")
+        fh.writelines(_CSV_ROW % row for row in zip(*(c.tolist() for c in columns)))
 
 
 def _summary_lines(cfg: ExperimentConfig, oracle, sigma_sq, constants,
@@ -404,44 +392,47 @@ def _constants(cfg: ExperimentConfig, oracle):
                                        batch=cfg.solver.batch)
 
 
+#: the documented exit code and stderr label of each refusal
+_EXITS = {ConfigError: (1, "config error"), OracleError: (2, "oracle failure"),
+          DivergenceError: (3, "diverged run")}
+
+
+def _exit_codes(command):
+    """Make ``command``'s refusals (``_EXITS``) one stderr line and an exit code."""
+    @functools.wraps(command)
+    def mapped(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except tuple(_EXITS) as exc:
+            code, label = next(v for cls, v in _EXITS.items() if isinstance(exc, cls))
+            print(f"{label}: {exc}", file=sys.stderr)
+            return code
+    return mapped
+
+
+@_exit_codes
 def run_experiment(config_path: str, trials: int | None = None,
                    seed: int | None = None, out_prefix: str | None = None,
                    stream=None) -> int:
     """Run the configured ensemble and write ``<prefix>_trace.csv`` and
     ``<prefix>_summary.txt``.  Returns the process exit code."""
     stream = stream if stream is not None else sys.stdout
-    try:
-        cfg = parse_config(config_path)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    cfg = parse_config(config_path)
     if trials is not None:
+        if trials < 2:
+            raise ConfigError("--trials must be >= 2")
         cfg.trials = trials
-        if cfg.trials < 2:
-            print("config error: --trials must be >= 2", file=sys.stderr)
-            return 1
     if seed is not None:
         try:
             cfg.solver = replace(cfg.solver, seed=seed)
         except ValueError as exc:
-            print(f"config error: --seed: {exc}", file=sys.stderr)
-            return 1
+            raise ConfigError(f"--seed: {exc}") from exc
     if out_prefix is not None:
         cfg.prefix = out_prefix
 
-    try:
-        oracle = resolve_oracle(cfg.problem)
-    except OracleError as exc:
-        print(f"oracle failure: {exc}", file=sys.stderr)
-        return 2
-
+    oracle = resolve_oracle(cfg.problem)
     report = _validation_report(cfg.solver)
-    try:
-        stats = ensemble(cfg.problem, cfg.solver, cfg.trials)
-    except DivergenceError as exc:
-        print(f"diverged run: {exc}", file=sys.stderr)
-        return 3
-
+    stats = ensemble(cfg.problem, cfg.solver, cfg.trials)
     sigma_sq, constants = _constants(cfg, oracle)
 
     try:
@@ -464,23 +455,16 @@ def run_experiment(config_path: str, trials: int | None = None,
     return 0
 
 
+@_exit_codes
 def validate_only(config_path: str, stream=None) -> int:
     """Print the validation report and constants preview without running trials."""
     stream = stream if stream is not None else sys.stdout
-    try:
-        cfg = parse_config(config_path)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    cfg = parse_config(config_path)
     s = cfg.solver
     report = _validation_report(s)
     for line in report.lines(include_batch=s.batch is not None):
         print(line, file=stream)
-    try:
-        oracle = resolve_oracle(cfg.problem)
-    except OracleError as exc:
-        print(f"oracle failure: {exc}", file=sys.stderr)
-        return 2
+    oracle = resolve_oracle(cfg.problem)
     sigma_sq, constants = _constants(cfg, oracle)
     print(f"sigma_sq_hat = {_fmt(sigma_sq)}", file=stream)
     print(f"M = {_fmt(constants.M)}; M1 = {_fmt(constants.M1)}; "

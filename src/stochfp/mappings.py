@@ -62,8 +62,11 @@ class Halfspace:
         n = as_point(self.normal, name="normal")
         if float(n @ n) == 0.0:
             raise ValueError("halfspace normal must be nonzero")
+        offset = float(self.offset)
+        if not np.isfinite(offset):
+            raise ValueError(f"halfspace offset must be finite, got {offset}")
         object.__setattr__(self, "normal", n)
-        object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "offset", offset)
 
     @property
     def dim(self) -> int:
@@ -168,7 +171,8 @@ class GradientFamily(MappingFamily):
     eigensolve, exact to rounding.  ``eta="auto"`` resolves to ``1 / l_max``,
     a safety margin inside the nonexpansivity region ``eta <= 2 / l_max``;
     an explicit ``eta`` above ``2 / l_max`` raises
-    :class:`NonexpansivityError`, and a negative one ``ValueError``.
+    :class:`NonexpansivityError`, and a negative or non-finite one
+    ``ValueError``.
     """
 
     def __init__(self, terms: Sequence[QuadraticTerm], eta="auto"):
@@ -188,8 +192,8 @@ class GradientFamily(MappingFamily):
             self.eta = 1.0 / self.l_max
         else:
             self.eta = float(eta)
-            if self.eta < 0.0:
-                raise ValueError("eta must be nonnegative")
+            if not 0.0 <= self.eta < np.inf:
+                raise ValueError(f"eta must be finite and nonnegative, got {eta!r}")
             if self.l_max > 0.0 and self.eta > 2.0 / self.l_max + 1e-15:
                 raise NonexpansivityError(
                     f"nonexpansivity violated: eta={self.eta} exceeds "

@@ -39,6 +39,16 @@ __all__ = [
 _HUGE_BATCH = 2**62  # stand-in when an uncapped schedule overflows float range
 
 
+def _above(value, low: float) -> bool:
+    """Whether ``value`` is a finite number above ``low`` (not None, NaN or inf)."""
+    return value is not None and low < value < math.inf
+
+
+def _count(value) -> bool:
+    """Whether ``value`` is a whole number ``>= 1``: ``4`` or ``4.0``, not ``2.5``."""
+    return value is not None and 1 <= value < math.inf and value == int(value)
+
+
 def _lambda_step_cap(lam: float) -> float:
     """Largest step the identity-blended iteration admits: ``(2*lam-1)/(2*(1-lam))``."""
     return (2.0 * lam - 1.0) / (2.0 * (1.0 - lam))
@@ -143,6 +153,9 @@ class BatchSchedule:
     polynomial(a0, b0, c): ``b_k = floor((a0*k + b0)^c)`` with ``a0, b0, c > 0``.
     exponential(b0, delta): ``b_k = floor(b0 * delta^k)`` with ``delta > 1``.
 
+    Parameters must be finite; ``b`` and ``cap`` must be whole numbers (a
+    float such as ``4.0`` is accepted, ``2.5`` is refused, not truncated).
+
     Emitted values are floored, clamped below at 1, and clamped above at
     ``cap`` when a cap is set.  A cap models the practical reality that batch
     sizes are only ever increased finitely; it costs the infinite-horizon
@@ -159,26 +172,23 @@ class BatchSchedule:
 
     def __post_init__(self):
         if self.kind == "constant":
-            if self.b is None or int(self.b) < 1:
-                raise ValueError("constant batch requires b >= 1")
+            if not _count(self.b):
+                raise ValueError(f"constant batch requires an integer b >= 1, got {self.b!r}")
             object.__setattr__(self, "b", int(self.b))
         elif self.kind == "polynomial":
-            if self.a0 is None or self.a0 <= 0.0:
-                raise ValueError("polynomial batch requires a0 > 0")
-            if self.b0 is None or self.b0 <= 0.0:
-                raise ValueError("polynomial batch requires b0 > 0")
-            if self.c is None or self.c <= 0.0:
-                raise ValueError("polynomial batch requires c > 0")
+            for name in ("a0", "b0", "c"):
+                if not _above(getattr(self, name), 0.0):
+                    raise ValueError(f"polynomial batch requires a finite {name} > 0")
         elif self.kind == "exponential":
-            if self.b0 is None or self.b0 <= 0.0:
-                raise ValueError("exponential batch requires b0 > 0")
-            if self.delta is None or self.delta <= 1.0:
-                raise ValueError("exponential batch requires delta > 1")
+            if not _above(self.b0, 0.0):
+                raise ValueError("exponential batch requires a finite b0 > 0")
+            if not _above(self.delta, 1.0):
+                raise ValueError("exponential batch requires a finite delta > 1")
         else:
             raise ValueError(f"unknown batch kind {self.kind!r}")
         if self.cap is not None:
-            if int(self.cap) < 1:
-                raise ValueError("cap must be >= 1")
+            if not _count(self.cap):
+                raise ValueError(f"cap must be an integer >= 1, got {self.cap!r}")
             object.__setattr__(self, "cap", int(self.cap))
 
     @classmethod
@@ -376,7 +386,6 @@ class ValidationReport:
     sum_inv_sqrt_b_le_root_bound: bool | None
     step_vanishes: bool
     cap_hit: bool
-    step_max: float
 
     def lines(self, include_batch: bool = True) -> list[str]:
         """Human-readable report lines for summaries and validate output.
@@ -455,5 +464,4 @@ def validate(step: StepSchedule, batch: BatchSchedule, horizon: int,
         ),
         step_vanishes=step.vanishes,
         cap_hit=cap_hit,
-        step_max=step.max_value,
     )

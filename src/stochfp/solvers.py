@@ -24,10 +24,11 @@ case and :func:`stochfp.diagnostics.ensemble` reduces its rows.  Iteration
 (:mod:`stochfp.sampling`); trial ``t`` takes row ``t``, so its draws do not
 depend on the number of trials.
 The schedules are precomputed arrays and the step-size ranges are checked
-once before the loop.  The engine runs blocks of iterations in three phases:
-it draws the block's batches and turns counts into weights, then steps each
-iteration with one sampled-mean call and checks the whole state for
-non-finite values, then records the block's rows with one exact-mean call.
+at construction of the :class:`SolverConfig`.  The engine runs blocks of
+iterations in three phases: it draws the block's batches and turns counts
+into weights, then steps each iteration with one sampled-mean call and
+checks the whole state for non-finite values, then records the block's rows
+with one exact-mean call.
 The block length never changes the output.
 """
 
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DivergenceError, Problem, RunRecord, as_point
+from .core import DivergenceError, Problem, RunRecord
 from .mappings import AveragedFamily
 from .sampling import BatchStream, _is_index
 from .schedules import BatchSchedule, StepSchedule, _lambda_step_cap
@@ -67,9 +68,13 @@ class FieldError(ValueError):
 class SolverConfig:
     """Complete description of one solver run.
 
-    ``batch`` is ignored by the deterministic methods.  For
+    ``batch`` is ignored by the deterministic methods.  Every step schedule
+    emits ``alpha_k in (0, 1]``, the anchored range; the averaged rules
+    (``km``, ``stoch_km``) also need ``alpha_k < 1``.  For
     ``stoch_halpern_lambda`` the blend weight must lie in (1/2, 3/4], the
-    range on which the step cap ``(2*lam-1)/(2*(1-lam))`` stays in (0, 1].
+    range on which the step cap ``(2*lam-1)/(2*(1-lam))`` stays in (0, 1],
+    and no step may exceed the cap.  A config that constructs runs: the
+    engine makes no range check of its own.
     ``seed`` must be an integer in ``[0, 2**128)``, the key range of the
     Philox stream, and ``iterations`` and ``record_every`` integers
     ``>= 1``; Python and NumPy integers are accepted.
@@ -96,36 +101,22 @@ class SolverConfig:
         if self.method == "stoch_halpern_lambda":
             if self.lam is None or not 0.5 < self.lam <= 0.75:
                 raise FieldError("lambda", "stoch_halpern_lambda requires lambda in (1/2, 3/4]")
+            cap = _lambda_step_cap(self.lam)
+            if self.step.max_value > cap + 1e-12:
+                raise FieldError("step", f"step schedule attains {self.step.max_value:.6g}, "
+                                 f"above the blend cap (2*lam-1)/(2*(1-lam)) = {cap:.6g}")
         elif self.lam is not None:
             raise FieldError("lambda", "lambda is only meaningful for stoch_halpern_lambda")
+        if self.method in ("km", "stoch_km") and self.step.max_value >= 1.0:
+            raise FieldError("step", "averaged methods need alpha_k in (0, 1); this step "
+                             f"schedule attains {self.step.max_value} (use constant(c<1) "
+                             "or a scaled kind)")
         if self.method in STOCHASTIC_METHODS and self.batch is None:
             raise FieldError("batch", f"{self.method} requires a batch schedule")
 
     @property
     def stochastic(self) -> bool:
         return self.method in STOCHASTIC_METHODS
-
-
-def _validate_run(problem: Problem, cfg: SolverConfig) -> None:
-    """Range checks made once per run, so the engine's updates need none.
-
-    Every step schedule emits ``alpha_k in (0, 1]``, the anchored range; the
-    averaged rules also need ``alpha_k < 1``, and the blended rule the cap.
-    """
-    as_point(problem.x0, dim=problem.family.dim, name="x0")
-    step_max = cfg.step.max_value
-    if cfg.method in ("km", "stoch_km") and step_max >= 1.0:
-        raise ValueError(
-            "averaged methods need alpha_k in (0, 1); "
-            f"this step schedule attains {step_max} (use constant(c<1) or a scaled kind)"
-        )
-    if cfg.method == "stoch_halpern_lambda":
-        bound = _lambda_step_cap(cfg.lam)
-        if step_max > bound + 1e-12:
-            raise ValueError(
-                f"step schedule attains {step_max:.6g}, above the blend cap "
-                f"(2*lam-1)/(2*(1-lam)) = {bound:.6g}"
-            )
 
 
 @dataclass
@@ -173,8 +164,7 @@ def run(problem: Problem, cfg: SolverConfig) -> RunRecord:
 
 
 def _run_trials(problem: Problem, cfg: SolverConfig, trials: int) -> _Trace:
-    """Validate once, resolve the oracle point, and run trials ``0..trials-1``."""
-    _validate_run(problem, cfg)
+    """Resolve the oracle point and run trials ``0..trials-1``."""
     x_star = None
     if problem.oracle_info is not None:
         from .diagnostics import resolve_oracle  # deferred: diagnostics imports solvers
@@ -213,7 +203,7 @@ def _iterate(problem: Problem, cfg: SolverConfig, trials: int,
     ``stoch_halpern_lambda`` iterates on ``AveragedFamily(family, lam)``;
     since ``x - T^lam(x) = (1-lam)*(x - T(x))``, its residuals are divided
     once by ``1 - lam`` to stay measured against the problem's own mean
-    ``T``.  Assumes validated inputs.
+    ``T``.  ``cfg``'s ranges were checked when it was constructed.
     """
     family = problem.family
     if cfg.lam is not None:

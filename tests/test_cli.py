@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stochfp import cli
+from stochfp import StepSchedule, cli
 from stochfp.core import DivergenceError
 
 REPO = Path(__file__).resolve().parents[1]
@@ -54,6 +54,8 @@ def test_minimal_deterministic_run(tmp_path):
         cols = line.split(",")
         assert len(cols) == 9
         assert cols[4] == "0" and cols[6] == "0" and cols[8] == "0"  # SE columns
+        # 17 significant digits read back as the same float
+        assert float(cols[1]) == StepSchedule.poly(1.0).at(int(cols[0]))
     summary = (tmp_path / "out" / "mini_summary.txt").read_text()
     assert "oracle" in summary and "x_star" in summary
 
@@ -83,6 +85,11 @@ prefix = {prefix}
 """
 
 
+# the [problem] sections' keys, to swap one problem for the other
+MINIMAL_PROBLEM = MINIMAL[MINIMAL.index("kind"):MINIMAL.index("\n\n")]
+QUADRATIC_PROBLEM = QUADRATIC[QUADRATIC.index("kind"):QUADRATIC.index("\n\n")]
+
+
 def _oracle_block(summary: str) -> list[str]:
     lines = summary.splitlines()
     start = lines.index("oracle:") + 1
@@ -104,6 +111,13 @@ def test_summary_reports_oracle_cost(tmp_path):
     cond = [line for line in block if line.startswith("  condition: ")]
     assert len(cond) == 1 and float(cond[0].split(": ")[1]) >= 1.0
     assert not any(line.startswith("  iterations:") for line in block)
+
+    # an explicit eta = auto is the default step
+    text = QUADRATIC.format(prefix=tmp_path / "qa").replace(
+        "gen_seed = 3", "gen_seed = 3\neta = auto")
+    assert cli.run_experiment(_write(tmp_path, text, name="quad_auto.cfg")) == 0
+    assert ((tmp_path / "qa_trace.csv").read_bytes()
+            == (tmp_path / "q_trace.csv").read_bytes())
 
 
 def test_csv_byte_identical_reruns(tmp_path):
@@ -130,12 +144,21 @@ def test_overrides_take_effect(tmp_path):
     ("trials = 3", "trials = 1"),                  # too few trials
     ("name = halpern", "name = sgd"),              # unknown method
     ("seed = 99", "seed = -1"),                    # seed outside [0, 2**128)
+    pytest.param("halfspace = 1 0 ; 0", "halfspace = 1 0 ; nan", id="offset_nan"),
+    pytest.param("name = halpern", "name = km", id="km_unit_step"),
+    pytest.param("name = halpern", "name = stoch_halpern\n[batch]\nkind = exponential\n"
+                 "b0 = 8\ndelta = nan", id="delta_nan"),
+    pytest.param(MINIMAL_PROBLEM, QUADRATIC_PROBLEM + "\neta = nan", id="eta_nan"),
+    pytest.param(MINIMAL_PROBLEM, QUADRATIC_PROBLEM + "\neta = 5", id="eta_above_2_over_l_max"),
 ])
 def test_config_errors_exit_1(tmp_path, capsys, mutation, fragment):
+    # both commands refuse every config error before any work, with exit 1
     text = MINIMAL.format(prefix=tmp_path / "x").replace(mutation, fragment)
     cfg = _write(tmp_path, text)
-    assert cli.run_experiment(cfg) == 1
-    assert "config error" in capsys.readouterr().err
+    for command in (cli.run_experiment, cli.validate_only):
+        assert command(cfg) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "x_trace.csv").exists()
 
 
 @pytest.mark.parametrize("mutation, fragment, cited", [
@@ -193,8 +216,9 @@ def test_oracle_failure_exit_2(tmp_path, capsys):
     text = text.replace("halfspace = 0.7071067811865476 0.7071067811865476 ; 0",
                         "halfspace = -1 0 ; -1")
     cfg = _write(tmp_path, text)
-    assert cli.run_experiment(cfg) == 2
-    assert "oracle failure" in capsys.readouterr().err
+    for command in (cli.run_experiment, cli.validate_only):
+        assert command(cfg) == 2
+        assert "oracle failure" in capsys.readouterr().err
 
 
 def test_diverged_run_exit_3(tmp_path, capsys, monkeypatch):
@@ -245,23 +269,43 @@ def test_validate_exit_0_and_prints_bound(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "B = 0.0625" in out
     assert "satisfied" in out
+    # polynomial batch (k+1)^3: B = (2c-1)/((c-1)*min(a0, b0)), through main
+    text = VALIDATE_OK.format(prefix=tmp_path / "v").replace(
+        "kind = exponential\nb0 = 32\ndelta = 2.0", "kind = polynomial\na0 = 1\nb0 = 1\nc = 3")
+    assert cli.main(["validate", _write(tmp_path, text)]) == 0
+    out = capsys.readouterr().out
+    assert "B = 2.5" in out and "conditions for stoch_halpern: satisfied" in out
 
 
 def test_validate_exit_4_constant_batch(tmp_path, capsys):
-    # also an averaged method on constant(1), the one step schedule whose
-    # sum alpha_k(1-alpha_k) converges
     ok = VALIDATE_OK.format(prefix=tmp_path / "v")
-    for old, new, reason in [
-        ("kind = exponential\nb0 = 32\ndelta = 2.0", "kind = constant\nb = 4",
-         "sum 1/sqrt(b_k) must be finite"),
-        ("name = stoch_halpern\n\n[step]\nkind = poly\na = 0.5",
-         "name = stoch_km\n\n[step]\nkind = constant\nc = 1.0",
-         "averaged methods need alpha_k < 1"),
-    ]:
-        cfg = _write(tmp_path, ok.replace(old, new))
-        assert cli.validate_only(cfg) == 4
-        out = capsys.readouterr().out
-        assert "NOT satisfied" in out and reason in out
+    cfg = _write(tmp_path, ok.replace("kind = exponential\nb0 = 32\ndelta = 2.0",
+                                      "kind = constant\nb = 4"))
+    assert cli.validate_only(cfg) == 4
+    out = capsys.readouterr().out
+    assert "NOT satisfied" in out and "sum 1/sqrt(b_k) must be finite" in out
+    # an averaged method on constant(1), the one step schedule whose
+    # sum alpha_k(1-alpha_k) converges, is a config error for both commands
+    text = ok.replace("name = stoch_halpern\n\n[step]\nkind = poly\na = 0.5",
+                      "name = stoch_km\n\n[step]\nkind = constant\nc = 1.0")
+    cfg = _write(tmp_path, text)
+    lineno = text.splitlines().index("name = stoch_km") + 1
+    for command in (cli.validate_only, cli.run_experiment):
+        assert command(cfg) == 1
+        assert capsys.readouterr().err.startswith(
+            f"config error: {cfg}:{lineno}: averaged methods need alpha_k in (0, 1)")
+
+
+@pytest.mark.parametrize("section, key", [("step", "a"), ("batch", "delta")])
+def test_section_key_error_cites_one_prefix(tmp_path, capsys, section, key):
+    # a missing key inside a kind's constructor call is reported once,
+    # not re-wrapped as a constructor error of the section
+    text = VALIDATE_OK.format(prefix=tmp_path / "v")
+    text = text.replace("a = 0.5\n" if key == "a" else "delta = 2.0\n", "")
+    cfg = _write(tmp_path, text)
+    assert cli.validate_only(cfg) == 1
+    assert capsys.readouterr().err == (
+        f"config error: {cfg}: [{section}] is missing required key '{key}'\n")
 
 
 def test_validate_reports_never_within_horizon(tmp_path, capsys):
@@ -301,7 +345,10 @@ def test_main_subprocess_entrypoint(tmp_path):
     assert proc2.returncode == 0, proc2.stderr
 
 
-def test_shipped_configs_parse():
+def test_shipped_configs_parse(capsys):
+    # validate exits 0 or 4 on each: no shipped config is refused (1) or
+    # leaves its oracle unresolved (2)
     for path in sorted(CONFIG_DIR.glob("*.cfg")):
         cfg = cli.parse_config(str(path))
         assert cfg.trials >= 2
+        assert cli.validate_only(str(path)) in (0, 4), capsys.readouterr().err

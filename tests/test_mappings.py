@@ -10,6 +10,9 @@ from stochfp import (AveragedFamily, GradientFamily, Halfspace,
 def test_halfspace_rejects_zero_normal():
     with pytest.raises(ValueError):
         Halfspace(normal=np.zeros(3), offset=1.0)
+    for offset in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="offset must be finite"):
+            Halfspace(normal=np.ones(3), offset=offset)
 
 
 @pytest.mark.parametrize("a, beta, x, expected", [
@@ -114,6 +117,9 @@ def test_gradient_family_eta_too_large_rejected():
     with pytest.raises(NonexpansivityError, match="nonexpansivity violated"):
         GradientFamily([term], eta=0.6)
     GradientFamily([term], eta=0.5)  # exactly 2/L is allowed
+    for eta in (np.nan, -0.1):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            GradientFamily([term], eta=eta)
 
 
 def test_gradient_family_auto_eta_componentwise_nonexpansive():

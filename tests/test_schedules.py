@@ -35,6 +35,25 @@ def test_step_parameter_ranges():
         StepSchedule.constant(1.2)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: BatchSchedule.constant(0),
+    lambda: BatchSchedule.constant(2.5),              # not truncated to 2
+    lambda: BatchSchedule.constant(math.inf),
+    lambda: BatchSchedule.constant(4, cap=7.9),       # not truncated to 7
+    lambda: BatchSchedule.constant(4, cap=0),
+    lambda: BatchSchedule.polynomial(math.nan, 1.0, 2.0),
+    lambda: BatchSchedule.polynomial(1.0, math.inf, 2.0),
+    lambda: BatchSchedule.polynomial(1.0, 1.0, math.nan),
+    lambda: BatchSchedule.exponential(math.nan, 2.0),
+    lambda: BatchSchedule.exponential(2.0, math.nan),
+    lambda: BatchSchedule.exponential(2.0, math.inf),
+    lambda: BatchSchedule.exponential(2.0, 1.0),
+])
+def test_batch_parameter_ranges(make):
+    with pytest.raises(ValueError, match="batch requires|cap must"):
+        make()
+
+
 def test_steps_in_unit_interval_and_monotone():
     for s in (StepSchedule.poly(0.25), StepSchedule.poly(1.0),
               StepSchedule.lambda_poly(0.7, 0.6)):

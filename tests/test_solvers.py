@@ -101,20 +101,16 @@ def test_lambda_config_range_enforced():
 
 def test_lambda_step_cap_validated():
     # lam = 0.6 gives cap 0.25; poly(0.5) attains alpha_0 = 1
-    problem = two_halfspace_problem()
-    cfg = SolverConfig(method="stoch_halpern_lambda", step=StepSchedule.poly(0.5),
-                       batch=BatchSchedule.constant(4), iterations=10, seed=0,
-                       lam=0.6)
     with pytest.raises(ValueError, match="blend cap"):
-        run(problem, cfg)
+        SolverConfig(method="stoch_halpern_lambda", step=StepSchedule.poly(0.5),
+                     batch=BatchSchedule.constant(4), iterations=10, seed=0,
+                     lam=0.6)
 
 
 def test_km_rejects_unit_step():
-    problem = _single_projection_problem()
-    cfg = SolverConfig(method="km", step=StepSchedule.poly(0.5),
-                       iterations=10, seed=0)
     with pytest.raises(ValueError, match="averaged methods"):
-        run(problem, cfg)
+        SolverConfig(method="km", step=StepSchedule.poly(0.5),
+                     iterations=10, seed=0)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**128])
