@@ -126,14 +126,15 @@ class _Section:
 
     @contextmanager
     def building(self):
-        """Report a constructor's ValueError as a config error of this section;
-        a ConfigError, which already cites its place, passes unchanged."""
+        """Report a constructor's ValueError as a config error at this section's
+        ``kind =`` line; a ConfigError, which already cites its place, passes."""
         try:
             yield
         except ConfigError:
             raise
         except ValueError as exc:
-            raise ConfigError(f"{self.path}: [{self.name}]: {exc}") from exc
+            raise ConfigError(f"{self.path}:{self._find('kind')[0]}: "
+                              f"[{self.name}]: {exc}") from exc
 
     def reject_unused(self):
         for lineno, key, _ in self.entries:

@@ -85,7 +85,8 @@ class MappingFamily:
     under one probability row over all ``n`` components per point (uniform
     rows give the exact mean, ``counts / b`` a batch of ``b >= n`` drawn as
     counts), and :meth:`sampled_mean`, which averages only the drawn
-    components (batches of ``b < n`` drawn as indices).
+    components (batches of ``b < n`` drawn as indices).  An affine family
+    also overrides the private hook :meth:`_affine`.
     Component indices are 1-based in the public API, matching the sampling
     convention; row ``i`` of :meth:`eval_all` holds ``T_{i+1}(x)``.
 
@@ -154,6 +155,13 @@ class MappingFamily:
         cheaper closed form, such as an affine one, may override it.
         """
         return self.weighted_mean(X, np.full((X.shape[0], self._n), 1.0 / self._n))
+
+    def _affine(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(G, h)`` with ``weighted_mean(x, w) = x - G x + h`` for each row
+        ``w`` of a ``(..., n)`` stack, or None when the means are not affine.
+        The pair is linear in ``W``, and each ``(T, n)`` slice of a stack
+        gives exactly what it gives alone."""
+        return None
 
     def sampled_mean(self, X: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """Mini-batch means ``out[t] = (1/b) sum_j T_{idx[t, j] + 1}(X[t])``.

@@ -20,11 +20,12 @@ contracts its means instead of forming the ``(T, n, d)`` component values:
 a weighted mean is ``x - (sum_i w_i G_i) x + sum_i w_i h_i``, one
 ``(T, n) x (n, d^2)`` matrix product and a mat-vec per point, and the exact
 mean is ``x - G_bar x + h_bar`` with the averages precomputed, ``O(d^2)`` per
-point whatever ``n`` is.  The projection family has no such form; its
-means cost ``O(n d)`` per point.
+point whatever ``n`` is.  Its hook ``_affine`` returns the pairs
+``(sum_i w_i G_i, sum_i w_i h_i)`` of a whole block's weight rows at once.
+The projection family has no such form; its means cost ``O(n d)`` per point.
 The lambda-averaging combinator blends any family with the identity,
 which preserves the fixed point set and shrinks the componentwise spread
-by a factor ``(1 - lambda)``.
+(and an affine base's pair) by a factor ``(1 - lambda)``.
 """
 
 from __future__ import annotations
@@ -210,12 +211,16 @@ class GradientFamily(MappingFamily):
     def eval_all(self, x: np.ndarray) -> np.ndarray:
         return x[None, :] - np.einsum("nij,j->ni", self._G, x) + self._h
 
-    def weighted_mean(self, X: np.ndarray, W: np.ndarray) -> np.ndarray:
+    def _affine(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # sum_i w_i (x - G_i x + h_i) = x - (sum_i w_i G_i) x + sum_i w_i h_i
-        # for rows summing to one: one (T, n) x (n, d^2) product and T
-        # mat-vecs, never the (T, n, d) component values
-        G_w = (W @ self._G_flat).reshape(-1, self.dim, self.dim)
-        return X - (G_w @ X[..., None])[..., 0] + W @ self._h
+        # for rows summing to one: one (T, n) x (n, d^2) product per (T, n)
+        # slice of a stack, never the (T, n, d) component values
+        G = (W @ self._G_flat).reshape(*W.shape[:-1], self.dim, self.dim)
+        return G, W @ self._h
+
+    def weighted_mean(self, X: np.ndarray, W: np.ndarray) -> np.ndarray:
+        G, h = self._affine(W)
+        return X - (G @ X[..., None])[..., 0] + h
 
     def _exact_mean(self, X: np.ndarray) -> np.ndarray:
         # the mean map is the affine x - G_bar x + h_bar: O(d^2) per point
@@ -250,6 +255,10 @@ class AveragedFamily(MappingFamily):
 
     def weighted_mean(self, X: np.ndarray, W: np.ndarray) -> np.ndarray:
         return self.lam * X + (1.0 - self.lam) * self.base.weighted_mean(X, W)
+
+    def _affine(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        # x - (1-lam)*G x + (1-lam)*h, and the pair is linear in the weights
+        return self.base._affine((1.0 - self.lam) * W)
 
     def _exact_mean(self, X: np.ndarray) -> np.ndarray:
         return self.lam * X + (1.0 - self.lam) * self.base._exact_mean(X)

@@ -56,8 +56,11 @@ class BatchStream:
 
     def __init__(self, seed: int, n: int):
         self._gen = iteration_rng(seed, 0)
-        # a fresh generator's state: empty output buffer, counter (0, 0, 0, 0)
+        # a fresh generator's state: empty output buffer, counter (0, 0, 0, 0),
+        # in Python-int words, which the state setter reads faster than arrays
         self._state = self._gen.bit_generator.state
+        self._state["state"] = {k: v.tolist() for k, v in self._state["state"].items()}
+        self._state["buffer"] = self._state["buffer"].tolist()
         self._n = n
         self._pvals = np.full(n, 1.0 / n)
 

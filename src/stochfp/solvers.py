@@ -26,9 +26,10 @@ depend on the number of trials.
 The schedules are precomputed arrays and the step-size ranges are checked
 at construction of the :class:`SolverConfig`.  The engine runs blocks of
 iterations in three phases: it draws the block's batches and turns counts
-into weights, then steps each iteration with one sampled-mean call and
-checks the whole state for non-finite values, then records the block's rows
-with one exact-mean call.
+into weights, which an affine family contracts once per block into each
+count step's ``(G, h)``; then steps each iteration with one sampled-mean
+call (``x - G x + h`` for such a count step) and checks the whole state for
+non-finite values; then records the block's rows with one exact-mean call.
 The block length never changes the output.
 """
 
@@ -183,12 +184,15 @@ def _iterate(problem: Problem, cfg: SolverConfig, trials: int,
 
     1. *Draw.*  The block's ``B`` draws on the stream.  Count draws
        (``b_k >= n``) go into a ``(B, T, n)`` weight buffer that one divide
-       turns into the probability rows ``counts / b_k``; index draws
+       turns into the probability rows ``counts / b_k``, which an affine
+       family contracts in one :meth:`MappingFamily._affine` call into the
+       block's ``(B, T, d, d)`` ``G`` and ``(B, T, d)`` ``h``; index draws
        (``b_k < n``) are kept as they are.
-    2. *Step.*  Per iteration one sampled-mean call:
-       :meth:`MappingFamily.weighted_mean` on that iteration's ``(T, n)``
-       weight rows, or :meth:`MappingFamily.sampled_mean` on its indices,
-       or the exact mean for the deterministic methods.  The update
+    2. *Step.*  Per iteration one sampled mean: ``x - G[j] x + h[j]`` for a
+       count step of an affine family, :meth:`MappingFamily.weighted_mean`
+       on its ``(T, n)`` weight rows for one of any other family,
+       :meth:`MappingFamily.sampled_mean` on an index step's indices, or
+       the exact mean for the deterministic methods.  The update
        uses the block's precomputed ``alpha_k * x0`` and ``1 - alpha_k`` and
        is written into a ``(B + 1, T, d)`` iterate buffer, which is checked
        for non-finite values before any family sees it.
@@ -198,8 +202,9 @@ def _iterate(problem: Problem, cfg: SolverConfig, trials: int,
 
     ``B`` is at most ``_BLOCK`` and keeps the block's buffers within about
     ``_BLOCK_ELEMENTS``.  Each value is computed by the same operations
-    whatever ``B`` is, so the output does not depend on it; the stacked
-    exact mean is never taken over a single point.
+    whatever ``B`` is, so the output does not depend on it: ``_affine``
+    contracts each ``(T, n)`` slice of its stack as it would alone, and the
+    stacked exact mean is never taken over a single point.
     ``stoch_halpern_lambda`` iterates on ``AveragedFamily(family, lam)``;
     since ``x - T^lam(x) = (1-lam)*(x - T(x))``, its residuals are divided
     once by ``1 - lam`` to stay measured against the problem's own mean
@@ -227,11 +232,12 @@ def _iterate(problem: Problem, cfg: SolverConfig, trials: int,
     refs = np.stack([x0, x0 if x_star is None else x_star])[:, None, None, :]
 
     # block buffers, sized by what a step fills: an iterate row, a weight row
-    # (count draws) or an index row (index draws), and the record rows' share
-    # of the stacked exact mean (n uniform weights per point)
+    # and its d x d contraction (count draws) or an index row (index draws), and
+    # the record rows' share of the stacked exact mean (n uniform weights per point)
     sizes = batches[:iterations]
     dense = stochastic and bool((sizes >= n).any())
-    width = (n if dense else 0) + (int(sizes[sizes < n].max(initial=0)) if stochastic else 0)
+    width = ((n + dim * dim if dense else 0)
+             + (int(sizes[sizes < n].max(initial=0)) if stochastic else 0))
     per_step = trials * (dim + width + -(-n // stride))
     block = max(1, min(_BLOCK, _BLOCK_ELEMENTS // per_step, iterations))
     X = np.empty((block + 1, trials, dim))
@@ -263,6 +269,7 @@ def _iterate(problem: Problem, cfg: SolverConfig, trials: int,
                     W[j] = stream.draw(k0 + j, b, trials)
             if dense:
                 W[:m] /= sizes[k0:k0 + m, None, None]
+                G, h = family._affine(W[:m]) or (None, None)
 
         # step; t_k is kept on the record rows
         kept = []
@@ -272,6 +279,8 @@ def _iterate(problem: Problem, cfg: SolverConfig, trials: int,
                 t_val = family._exact_mean(x)
             elif size_list[j] < n:
                 t_val = family.sampled_mean(x, draws[j])
+            elif G is not None:
+                t_val = x - (G[j] @ x[..., None])[..., 0] + h[j]
             else:
                 t_val = family.weighted_mean(x, ws[j])
             if anchored:

@@ -151,13 +151,19 @@ def test_overrides_take_effect(tmp_path):
     pytest.param(MINIMAL_PROBLEM, QUADRATIC_PROBLEM + "\neta = nan", id="eta_nan"),
     pytest.param(MINIMAL_PROBLEM, QUADRATIC_PROBLEM + "\neta = 5", id="eta_above_2_over_l_max"),
 ])
-def test_config_errors_exit_1(tmp_path, capsys, mutation, fragment):
-    # both commands refuse every config error before any work, with exit 1
+def test_config_errors_exit_1(request, tmp_path, capsys, mutation, fragment):
+    # both commands refuse every config error before any work, with exit 1;
+    # a constructor's refusal cites its section's kind line
     text = MINIMAL.format(prefix=tmp_path / "x").replace(mutation, fragment)
     cfg = _write(tmp_path, text)
+    cited = {"delta_nan": "kind = exponential",
+             "eta_nan": "kind = quadratic"}.get(request.node.callspec.id)
     for command in (cli.run_experiment, cli.validate_only):
         assert command(cfg) == 1
-        assert capsys.readouterr().err.startswith("config error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        if cited is not None:
+            assert f"{cfg}:{text.splitlines().index(cited) + 1}: " in err
     assert not (tmp_path / "x_trace.csv").exists()
 
 

@@ -273,3 +273,23 @@ def test_gradient_exact_mean_matches_mean_of_components(blend, points):
     assert got.shape == (points, fam.dim)
     for p in range(points):
         np.testing.assert_allclose(got[p], fam.eval_all(X[p]).mean(axis=0), rtol=1e-12)
+
+
+@pytest.mark.parametrize("blend", [False, True])
+@pytest.mark.parametrize("m", [1, 5])
+@pytest.mark.parametrize("trials", [1, 3])
+def test_affine_pair_of_a_stack_is_the_pair_of_each_slice(blend, m, trials):
+    # the engine contracts a block's (m, T, n) weights in one call; each
+    # iteration's (G, h) must be bit for bit its own (T, n) slice's, so no
+    # step depends on the block length
+    fam = random_quadratic_problem(9, 5, 1).family
+    if blend:
+        fam = AveragedFamily(fam, 0.75)
+    W = np.random.default_rng(5).random((m, trials, fam.n))
+    W /= W.sum(axis=-1, keepdims=True)
+    G, h = fam._affine(W)
+    assert G.shape == (m, trials, fam.dim, fam.dim) and h.shape == (m, trials, fam.dim)
+    for j in range(m):
+        G_j, h_j = fam._affine(W[j])
+        np.testing.assert_array_equal(G[j], G_j)
+        np.testing.assert_array_equal(h[j], h_j)
