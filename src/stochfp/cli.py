@@ -299,9 +299,6 @@ def method_conditions_ok(report: ValidationReport, method: str) -> tuple[bool, l
     elif method == "stoch_halpern_lambda":
         need(report.inv_b_le_alpha.holds_eventually,
              "1/b_k <= alpha_k never holds through the horizon")
-        need(report.alpha_le_lambda_bound is not None
-             and report.alpha_le_lambda_bound.holds_eventually,
-             "alpha_k <= (2*lam-1)/(2*(1-lam)) never holds through the horizon")
         need(report.batch_bound_B is not None, "sum 1/b_k must be finite")
     return (not reasons), reasons
 
@@ -382,7 +379,7 @@ def _summary_lines(cfg: ExperimentConfig, oracle, sigma_sq, constants,
 def _validation_report(s: SolverConfig) -> ValidationReport:
     """Coupling report for ``s``; deterministic methods scan a constant(1) stand-in batch."""
     batch = s.batch if s.batch is not None else BatchSchedule.constant(1)
-    return validate(s.step, batch, s.iterations, lam=s.lam)
+    return validate(s.step, batch, s.iterations)
 
 
 def _constants(cfg: ExperimentConfig, oracle):

@@ -82,8 +82,8 @@ class MappingFamily:
     Subclasses provide :meth:`eval_all`, returning the stacked component
     values at a point, and may override the two primitives the solvers call
     with stacked forms over many points: :meth:`weighted_mean`, the mean
-    under one probability row over all ``n`` components per point (uniform
-    rows give the exact mean, ``counts / b`` a batch of ``b >= n`` drawn as
+    under one weight row over all ``n`` components per point (uniform rows
+    give the exact mean, ``counts / b`` a batch of ``b >= n`` drawn as
     counts), and :meth:`sampled_mean`, which averages only the drawn
     components (batches of ``b < n`` drawn as indices).  An affine family
     also overrides the private hook :meth:`_affine`.
@@ -134,17 +134,17 @@ class MappingFamily:
         return self.eval_all(xa)[i - 1]
 
     def weighted_mean(self, X: np.ndarray, W: np.ndarray) -> np.ndarray:
-        """Weighted means ``out[t] = sum_i W[t, i] * T_i(X[t])``.
+        """Weighted means ``out[t] = (1 - sum_i W[t, i]) * X[t] + sum_i W[t, i] * T_i(X[t])``.
 
         ``X`` is a ``(T, d)`` stack of points and ``W`` a ``(T, n)`` stack of
-        probability rows, each summing to one; the result is ``(T, d)``.
-        Uniform rows ``1/n`` give the exact mean and ``counts / b`` a
-        sampled mini-batch mean, so one call serves both.  The built-in
-        families rely on the rows summing to one.  Hot path: skips
+        nonnegative rows summing to at most one, the identity taking the
+        rest; the result is ``(T, d)``.  Uniform rows ``1/n`` give the exact
+        mean, ``counts / b`` a sampled mini-batch mean and rows scaled by
+        ``1 - lam`` their blend with the identity.  Hot path: skips
         validation.  This generic version evaluates every component per
         point; the built-in families override it with stacked array forms.
         """
-        return np.stack([W[t] @ self.eval_all(X[t]) for t in range(X.shape[0])])
+        return np.stack([x - w @ (x - self.eval_all(x)) for x, w in zip(X, W)])
 
     def _exact_mean(self, X: np.ndarray) -> np.ndarray:
         """Exact means ``T(X[p])`` of a ``(P, d)`` stack of points; ``(P, d)``.

@@ -106,8 +106,6 @@ def oracle_feasibility(halfspaces: Sequence[Halfspace], x0) -> OracleResult:
         ``10 * (n + d)`` steps runs out, or if the point's residual under the
         mean-projection mapping exceeds 1e-8.
     """
-    if len(halfspaces) == 0:
-        raise ValueError("need at least one halfspace")
     family = ProjectionFamily(halfspaces)
     A, beta = family._A, family._beta
     inv_norm = np.sqrt(family._inv_norm_sq)

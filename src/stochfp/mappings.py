@@ -25,7 +25,7 @@ point whatever ``n`` is.  Its hook ``_affine`` returns the pairs
 The projection family has no such form; its means cost ``O(n d)`` per point.
 The lambda-averaging combinator blends any family with the identity,
 which preserves the fixed point set and shrinks the componentwise spread
-(and an affine base's pair) by a factor ``(1 - lambda)``.
+by a factor ``(1 - lambda)``, the factor it scales its base's weight rows by.
 """
 
 from __future__ import annotations
@@ -108,7 +108,6 @@ class ProjectionFamily(MappingFamily):
             if h.dim != dim:
                 raise ValueError("halfspaces have mixed dimensions")
         super().__init__(dim=dim, n=len(halfspaces), kind="projection-mean")
-        self.halfspaces = tuple(halfspaces)
         self._A = np.stack([h.normal for h in halfspaces])
         self._beta = np.array([h.offset for h in halfspaces])
         self._inv_norm_sq = 1.0 / np.einsum("ij,ij->i", self._A, self._A)
@@ -119,7 +118,7 @@ class ProjectionFamily(MappingFamily):
         return x[None, :] - coef[:, None] * self._A
 
     def weighted_mean(self, X: np.ndarray, W: np.ndarray) -> np.ndarray:
-        # sum_i w_i (x - c_i a_i) = x - (w * c) @ A for rows summing to one,
+        # (1 - sum_i w_i) x + sum_i w_i (x - c_i a_i) = x - (w * c) @ A,
         # without forming the (T, n, d) component values
         coef = np.maximum(X @ self._A.T - self._beta, 0.0) * self._inv_norm_sq
         return X - (W * coef) @ self._A
@@ -184,7 +183,6 @@ class GradientFamily(MappingFamily):
             if t.dim != dim:
                 raise ValueError("terms have mixed dimensions")
         super().__init__(dim=dim, n=len(terms), kind="gradient-mean")
-        self.terms = tuple(terms)
         grams = np.stack([t.A.T @ t.A for t in terms])
         self.l_max = float(np.linalg.eigvalsh(grams)[:, -1].max())
         if eta == "auto":
@@ -212,9 +210,9 @@ class GradientFamily(MappingFamily):
         return x[None, :] - np.einsum("nij,j->ni", self._G, x) + self._h
 
     def _affine(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # sum_i w_i (x - G_i x + h_i) = x - (sum_i w_i G_i) x + sum_i w_i h_i
-        # for rows summing to one: one (T, n) x (n, d^2) product per (T, n)
-        # slice of a stack, never the (T, n, d) component values
+        # (1 - sum_i w_i) x + sum_i w_i (x - G_i x + h_i)
+        # = x - (sum_i w_i G_i) x + sum_i w_i h_i: one (T, n) x (n, d^2)
+        # product per (T, n) slice of a stack, never the (T, n, d) component values
         G = (W @ self._G_flat).reshape(*W.shape[:-1], self.dim, self.dim)
         return G, W @ self._h
 
@@ -239,8 +237,10 @@ class AveragedFamily(MappingFamily):
     """Blend of a base family with the identity: ``T_i^lam = lam*Id + (1-lam)*T_i``.
 
     Shares the base family's fixed points and scales its componentwise
-    variance by ``(1 - lam)^2``.  This is the one place the identity blend is
-    written: ``stoch_halpern_lambda`` runs the anchored iteration on it.
+    variance by ``(1 - lam)^2``; ``stoch_halpern_lambda`` steps on it.  Its
+    weighted means and ``_affine`` pairs are the base's on the rows
+    ``(1 - lam) * W``, the identity taking the rest; only an index draw,
+    which has no weight row, blends the base's sampled mean.
     """
 
     def __init__(self, base: MappingFamily, lam: float):
@@ -254,14 +254,10 @@ class AveragedFamily(MappingFamily):
         return self.lam * x[None, :] + (1.0 - self.lam) * self.base.eval_all(x)
 
     def weighted_mean(self, X: np.ndarray, W: np.ndarray) -> np.ndarray:
-        return self.lam * X + (1.0 - self.lam) * self.base.weighted_mean(X, W)
+        return self.base.weighted_mean(X, (1.0 - self.lam) * W)
 
     def _affine(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-        # x - (1-lam)*G x + (1-lam)*h, and the pair is linear in the weights
         return self.base._affine((1.0 - self.lam) * W)
-
-    def _exact_mean(self, X: np.ndarray) -> np.ndarray:
-        return self.lam * X + (1.0 - self.lam) * self.base._exact_mean(X)
 
     def sampled_mean(self, X: np.ndarray, idx: np.ndarray) -> np.ndarray:
         return self.lam * X + (1.0 - self.lam) * self.base.sampled_mean(X, idx)

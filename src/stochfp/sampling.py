@@ -16,8 +16,8 @@ zero-based indices, so an iteration costs ``O(T*b)``.  Otherwise it is
 ``multinomial(b, [1/n] * n, size=T)``: row ``t`` is trial ``t``'s
 multiplicity vector, identical in law to counting ``b`` uniform index
 draws (Davis, CSDA 1993).  Either way row ``t`` is the same for every
-``T > t``.  The solvers and :func:`sample_batch` (which expands row 0) share
-this one definition, :class:`BatchStream`.
+``T > t``.  The solvers' :class:`BatchStream` and :func:`sample_batch`
+(which expands row 0) share this one rule, :func:`_draw`.
 """
 
 from __future__ import annotations
@@ -46,6 +46,14 @@ def iteration_rng(seed: int, k: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=(0, k, 0, 0)))
 
 
+def _draw(gen: np.random.Generator, b: int, trials: int, pvals: np.ndarray) -> np.ndarray:
+    """The draw rule: ``(trials, b)`` indices for ``b < n = pvals.size``,
+    else ``(trials, n)`` counts under the uniform ``pvals``."""
+    if b < pvals.size:
+        return gen.integers(0, pvals.size, size=(trials, b))
+    return gen.multinomial(b, pvals, size=trials)
+
+
 class BatchStream:
     """The batch draws of every trial on the stream ``seed``, on one reusable generator.
 
@@ -61,21 +69,14 @@ class BatchStream:
         self._state = self._gen.bit_generator.state
         self._state["state"] = {k: v.tolist() for k, v in self._state["state"].items()}
         self._state["buffer"] = self._state["buffer"].tolist()
-        self._n = n
         self._pvals = np.full(n, 1.0 / n)
 
     def draw(self, k: int, b: int, trials: int) -> np.ndarray:
-        """Iteration ``k``'s batches; row ``t`` is trial ``t``.
-
-        For ``b < n`` the ``(trials, b)`` zero-based indices
-        ``integers(0, n, size=(trials, b))``, otherwise the ``(trials, n)``
-        multiplicity vectors ``multinomial(b, [1/n] * n, size=trials)``.
-        """
+        """Iteration ``k``'s batches, row ``t`` for trial ``t`` (:func:`_draw`):
+        ``(trials, b)`` zero-based indices for ``b < n``, else ``(trials, n)`` counts."""
         self._state["state"]["counter"][1] = k
         self._gen.bit_generator.state = self._state
-        if b < self._n:
-            return self._gen.integers(0, self._n, size=(trials, b))
-        return self._gen.multinomial(b, self._pvals, size=trials)
+        return _draw(self._gen, b, trials, self._pvals)
 
 
 @dataclass(frozen=True)
@@ -112,8 +113,9 @@ class BatchDraw:
 def sample_batch(seed: int, k: int, n: int, b: int) -> BatchDraw:
     """Trial 0's draw at iteration ``k`` of stream ``seed``, as ``b`` indices on ``[1, n]``.
 
-    Row 0 of :meth:`BatchStream.draw`: for ``b < n`` its indices in drawn
-    order, otherwise its counts expanded to index-ascending indices.  So
+    Row 0 of :func:`_draw` on ``iteration_rng(seed, k)``, as in
+    :meth:`BatchStream.draw`: for ``b < n`` its indices in drawn order,
+    otherwise its counts expanded to index-ascending indices.  So
     ``counts()`` returns exactly the counts that trial 0 of a solver run on
     master seed ``seed`` uses at iteration ``k``.  Distinct iterations or
     distinct seeds give independent draws.
@@ -124,7 +126,7 @@ def sample_batch(seed: int, k: int, n: int, b: int) -> BatchDraw:
         raise ValueError(f"seed must be an integer in [0, 2**128), got {seed!r}")
     if not _is_index(k, 2**64):
         raise ValueError(f"iteration k must be an integer in [0, 2**64), got {k!r}")
-    row = BatchStream(seed, n).draw(k, b, 1)[0]
+    row = _draw(iteration_rng(seed, k), b, 1, np.full(n, 1.0 / n))[0]
     indices = row + 1 if b < n else np.repeat(np.arange(1, n + 1), row)
     return BatchDraw(indices=indices, n=n, k=k, seed=seed)
 

@@ -364,8 +364,8 @@ def _scan(name: str, ok: np.ndarray) -> ConditionScan:
 class ValidationReport:
     """Finite-horizon report of the step/batch coupling conditions.
 
-    Pointwise scans cover ``1/b_k <= alpha_k``, ``1/b_k <= alpha_k^2`` and,
-    when a blend weight is supplied, ``alpha_k <= (2*lam-1)/(2*(1-lam))``.
+    Pointwise scans cover ``1/b_k <= alpha_k`` and ``1/b_k <= alpha_k^2``
+    (a step above the blend cap is a config error, not a scan).
     Partial sums are over the actually emitted values (floors and caps
     included).  ``batch_bound_B`` and ``root_batch_bound`` are the
     closed-form tail certificates by schedule kind, ``None`` where the kind
@@ -375,7 +375,6 @@ class ValidationReport:
     horizon: int
     inv_b_le_alpha: ConditionScan
     inv_b_le_alpha_sq: ConditionScan
-    alpha_le_lambda_bound: ConditionScan | None
     sum_alpha: float
     sum_alpha_sq: float
     sum_inv_b: float
@@ -397,8 +396,6 @@ class ValidationReport:
         if include_batch:
             out.append(self.inv_b_le_alpha.describe())
             out.append(self.inv_b_le_alpha_sq.describe())
-        if self.alpha_le_lambda_bound is not None:
-            out.append(self.alpha_le_lambda_bound.describe())
         out.append(f"sum alpha_k            = {self.sum_alpha:.12g}")
         out.append(f"sum alpha_k^2          = {self.sum_alpha_sq:.12g}")
         if include_batch:
@@ -423,9 +420,8 @@ class ValidationReport:
         return out
 
 
-def validate(step: StepSchedule, batch: BatchSchedule, horizon: int,
-             lam: float | None = None) -> ValidationReport:
-    """Scan the coupling conditions over ``k in [0, horizon)``.
+def validate(step: StepSchedule, batch: BatchSchedule, horizon: int) -> ValidationReport:
+    """Scan the two coupling conditions on ``1/b_k`` over ``k in [0, horizon)``.
 
     Infeasibility is reported, never raised: prefix violations carry the
     first index ``k0`` from which the condition holds through the horizon,
@@ -436,10 +432,6 @@ def validate(step: StepSchedule, batch: BatchSchedule, horizon: int,
     alphas = step.values(horizon)
     bs = batch.values_float(horizon)
     inv_b = 1.0 / bs
-    lam_scan = None
-    if lam is not None:
-        lam_scan = _scan("alpha_k <= (2*lam-1)/(2*(1-lam))",
-                         alphas <= _lambda_step_cap(lam) + 1e-15)
 
     big_b = batch_inv_sum_bound(batch)
     root_b = batch_inv_sqrt_sum_bound(batch)
@@ -451,7 +443,6 @@ def validate(step: StepSchedule, batch: BatchSchedule, horizon: int,
         horizon=horizon,
         inv_b_le_alpha=_scan("1/b_k <= alpha_k", inv_b <= alphas + 1e-15),
         inv_b_le_alpha_sq=_scan("1/b_k <= alpha_k^2", inv_b <= alphas**2 + 1e-15),
-        alpha_le_lambda_bound=lam_scan,
         sum_alpha=float(alphas.sum()),
         sum_alpha_sq=float((alphas**2).sum()),
         sum_inv_b=sum_inv_b,

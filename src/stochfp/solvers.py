@@ -205,14 +205,14 @@ def _iterate(problem: Problem, cfg: SolverConfig, trials: int,
     whatever ``B`` is, so the output does not depend on it: ``_affine``
     contracts each ``(T, n)`` slice of its stack as it would alone, and the
     stacked exact mean is never taken over a single point.
-    ``stoch_halpern_lambda`` iterates on ``AveragedFamily(family, lam)``;
-    since ``x - T^lam(x) = (1-lam)*(x - T(x))``, its residuals are divided
-    once by ``1 - lam`` to stay measured against the problem's own mean
-    ``T``.  ``cfg``'s ranges were checked when it was constructed.
+    ``stoch_halpern_lambda`` steps on ``AveragedFamily(family, lam)`` and
+    records on ``family``, so its residuals are measured against the
+    problem's own mean ``T``.  ``cfg``'s ranges were checked when it was
+    constructed.
     """
-    family = problem.family
+    family = base = problem.family
     if cfg.lam is not None:
-        family = AveragedFamily(family, cfg.lam)
+        family = AveragedFamily(base, cfg.lam)
     x0 = problem.x0
     n, dim = family.n, family.dim
     anchored = cfg.method in ("halpern", "stoch_halpern", "stoch_halpern_lambda")
@@ -315,7 +315,7 @@ def _iterate(problem: Problem, cfg: SolverConfig, trials: int,
                 flat = points.reshape(-1, dim)
                 if len(flat) == 1:
                     flat = np.repeat(flat, 2, axis=0)
-                means = family._exact_mean(flat)[:r * trials].reshape(points.shape)
+                means = base._exact_mean(flat)[:r * trials].reshape(points.shape)
             else:  # t_k is T(x_k); the final row takes the step's call
                 if final:
                     kept.append(family._exact_mean(xs[m]))
@@ -333,8 +333,6 @@ def _iterate(problem: Problem, cfg: SolverConfig, trials: int,
 
     residuals, f0s, dists, batch_dists, step_norms = sq
     np.sqrt(residuals, out=residuals)
-    if cfg.lam is not None:
-        residuals /= 1.0 - cfg.lam
     f0s *= 0.5
     np.sqrt(step_norms, out=step_norms)
     if x_star is None:

@@ -121,12 +121,19 @@ def test_summary_reports_oracle_cost(tmp_path):
 
 
 def test_csv_byte_identical_reruns(tmp_path):
-    cfg = _write(tmp_path, MINIMAL.format(prefix=tmp_path / "a"))
-    assert cli.run_experiment(cfg, out_prefix=str(tmp_path / "r1")) == 0
-    assert cli.run_experiment(cfg, out_prefix=str(tmp_path / "r2")) == 0
-    b1 = (tmp_path / "r1_trace.csv").read_bytes()
-    b2 = (tmp_path / "r2_trace.csv").read_bytes()
-    assert b1 == b2
+    # a deterministic run, and a blended one on a quadratic family whose
+    # batches grow from index draws (b_k < n) to count draws
+    blended = (MINIMAL.replace(MINIMAL_PROBLEM, QUADRATIC_PROBLEM)
+               .replace("name = halpern", "name = stoch_halpern_lambda\nlambda = 0.75")
+               .replace("kind = poly\na = 1.0", "kind = lambda_poly\na = 0.5\nlambda = 0.75\n\n"
+                        "[batch]\nkind = exponential\nb0 = 4\ndelta = 1.05"))
+    for name, text in (("a", MINIMAL), ("lam", blended)):
+        cfg = _write(tmp_path, text.format(prefix=tmp_path / name), name=f"{name}.cfg")
+        assert cli.run_experiment(cfg, out_prefix=str(tmp_path / f"{name}1")) == 0
+        assert cli.run_experiment(cfg, out_prefix=str(tmp_path / f"{name}2")) == 0
+        b1 = (tmp_path / f"{name}1_trace.csv").read_bytes()
+        b2 = (tmp_path / f"{name}2_trace.csv").read_bytes()
+        assert b1 == b2
 
 
 def test_overrides_take_effect(tmp_path):
@@ -150,6 +157,8 @@ def test_overrides_take_effect(tmp_path):
                  "b0 = 8\ndelta = nan", id="delta_nan"),
     pytest.param(MINIMAL_PROBLEM, QUADRATIC_PROBLEM + "\neta = nan", id="eta_nan"),
     pytest.param(MINIMAL_PROBLEM, QUADRATIC_PROBLEM + "\neta = 5", id="eta_above_2_over_l_max"),
+    pytest.param("name = halpern", "name = stoch_halpern_lambda\nlambda = 0.6\n[batch]\n"
+                 "kind = constant\nb = 4", id="lambda_step_above_cap"),
 ])
 def test_config_errors_exit_1(request, tmp_path, capsys, mutation, fragment):
     # both commands refuse every config error before any work, with exit 1;

@@ -203,15 +203,21 @@ def test_averaged_family_shares_fixed_points():
         assert avg_res <= (1 - lam) * base_res + 1e-12
 
 
-@pytest.mark.parametrize("label", ["projection", "gradient", "blend", "gradient-blend"])
+@pytest.mark.parametrize("label", ["projection", "gradient", "callable", "blend",
+                                   "gradient-blend"])
 def test_weighted_mean_matches_componentwise_sum(label):
-    # each family's stacked form, and its exact mean, against
-    # sum_i W[t, i] * eval_all(X[t])[i] for probability rows W[t]
-    from stochfp import MappingFamily, random_halfspace_problem, random_quadratic_problem
+    # each family's stacked form, the generic one, and the exact mean, against
+    # (1 - sum_i W[t, i]) * X[t] + sum_i W[t, i] * eval_all(X[t])[i] for rows
+    # W[t] summing to one or less, the identity taking the rest
+    from stochfp import (CallableFamily, MappingFamily, random_halfspace_problem,
+                         random_quadratic_problem)
+    halfspaces = random_halfspace_problem(30, 5, gen_seed=4).family
     families = {
-        "projection": lambda: random_halfspace_problem(30, 5, gen_seed=4).family,
+        "projection": lambda: halfspaces,
         "gradient": lambda: random_quadratic_problem(9, 5, gen_seed=1).family,
-        "blend": lambda: AveragedFamily(random_halfspace_problem(30, 5, gen_seed=4).family, 0.7),
+        "callable": lambda: CallableFamily(
+            [lambda x, i=i: halfspaces.component(i + 1, x) for i in range(6)], dim=5),
+        "blend": lambda: AveragedFamily(halfspaces, 0.7),
         "gradient-blend": lambda: AveragedFamily(random_quadratic_problem(9, 5, 1).family, 0.7),
     }
     fam = families[label]()
@@ -219,15 +225,39 @@ def test_weighted_mean_matches_componentwise_sum(label):
     X = rng.standard_normal((4, fam.dim)) * 3
     W = rng.random((4, fam.n))
     W /= W.sum(axis=1, keepdims=True)
-    got = fam.weighted_mean(X, W)
-    expected = MappingFamily.weighted_mean(fam, X, W)
-    assert got.shape == (4, fam.dim)
-    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+    for total in (1.0, 0.6):
+        Wt = total * W
+        expected = np.stack([(1.0 - Wt[t].sum()) * X[t] + Wt[t] @ fam.eval_all(X[t])
+                             for t in range(4)])
+        for got in (fam.weighted_mean(X, Wt), MappingFamily.weighted_mean(fam, X, Wt)):
+            assert got.shape == (4, fam.dim)
+            np.testing.assert_allclose(got, expected, rtol=1e-12,
+                                       atol=1e-12 * np.abs(expected).max())
     uniform = fam.weighted_mean(X, np.full((4, fam.n), 1.0 / fam.n))
     for t in range(4):
         for value in (uniform[t], fam.mean(X[t])):
             np.testing.assert_allclose(value, fam.eval_all(X[t]).mean(axis=0),
                                        rtol=1e-12, atol=1e-13)
+
+
+@pytest.mark.parametrize("label", ["projection", "gradient"])
+@pytest.mark.parametrize("lam", [0.6, 0.75])
+def test_blend_weighted_mean_is_the_base_on_scaled_weights(label, lam):
+    # the blend's weight row w is its base's row (1 - lam) * w, bit for bit,
+    # and for an affine base the x - G x + h of the blend's _affine pair
+    from stochfp import random_halfspace_problem, random_quadratic_problem
+    base = (random_halfspace_problem(30, 5, gen_seed=4).family if label == "projection"
+            else random_quadratic_problem(9, 5, gen_seed=1).family)
+    fam = AveragedFamily(base, lam)
+    rng = np.random.default_rng(6)
+    X = rng.standard_normal((4, fam.dim)) * 3
+    W = rng.random((4, fam.n))
+    W /= W.sum(axis=1, keepdims=True)
+    got = fam.weighted_mean(X, W)
+    np.testing.assert_array_equal(got, base.weighted_mean(X, (1.0 - lam) * W))
+    if label == "gradient":
+        G, h = fam._affine(W)
+        np.testing.assert_array_equal(got, X - (G @ X[..., None])[..., 0] + h)
 
 
 @pytest.mark.parametrize("label", ["projection", "gradient", "callable", "blend",

@@ -146,15 +146,6 @@ def test_validate_fast_exponential_holds_from_zero():
     assert rep.inv_b_le_alpha_sq.k0 == 0
 
 
-def test_validate_reports_lambda_bound_scan():
-    rep = validate(StepSchedule.poly(0.5), BatchSchedule.exponential(8, 1.05),
-                   100, lam=0.6)
-    scan = rep.alpha_le_lambda_bound
-    # bound = 0.25; alpha_k = (k+1)**-0.5 <= 0.25 iff k >= 15
-    assert scan.first_violation == 0
-    assert scan.k0 == 15
-
-
 def test_validate_never_raises_on_infeasible():
     rep = validate(StepSchedule.constant(0.5), BatchSchedule.constant(1), 10)
     assert rep.root_batch_bound is None

@@ -89,6 +89,26 @@ def test_lambda_zero_reduces_to_plain_stochastic():
     assert np.array_equal(plain.residuals, blended.residuals)
 
 
+def test_lambda_run_residuals_are_the_base_family_residuals():
+    # a blended run steps on the blend and records on the problem's own
+    # family: each residual row is ||x_k - T(x_k)|| at that run's iterate
+    # x_k, the final point of the same run stopped at k (index draws for
+    # b_k < 6 = n, count draws after)
+    problem = random_quadratic_problem(6, 3, gen_seed=3)
+
+    def lam_run(iterations):
+        return run(problem, SolverConfig(
+            method="stoch_halpern_lambda", step=StepSchedule.lambda_poly(0.5, 0.75),
+            batch=BatchSchedule.exponential(4, 1.1), iterations=iterations, seed=5,
+            record_every=1, lam=0.75))
+
+    rec = lam_run(20)
+    iterates = [problem.x0] + [lam_run(k).final_point for k in range(1, 21)]
+    expected = [np.linalg.norm(x - problem.family.mean(x)) for x in iterates]
+    assert rec.batch_sizes[0] < 6 <= rec.batch_sizes[-1]
+    np.testing.assert_allclose(rec.residuals, expected, rtol=1e-13)
+
+
 def test_lambda_config_range_enforced():
     with pytest.raises(ValueError):
         SolverConfig(method="stoch_halpern_lambda", step=StepSchedule.poly(0.5),
