@@ -1,9 +1,11 @@
 """Configuration-driven experiment runner.
 
 Reads a flat key-value config with section headers (grammar documented in
-the README), builds the problem and schedules, validates the step/batch
-coupling conditions, runs a seeded Monte-Carlo ensemble, and writes a trace
-CSV plus a human-readable summary.
+the README), builds the problem and the schedules (each by its class's
+``KINDS`` table), runs a seeded Monte-Carlo ensemble, and writes a trace
+CSV plus a human-readable summary.  The summary's ``constants:`` and
+``schedule validation:`` sections come from one function; ``validate``
+prints them alone, without running trials.
 
 Exit codes: 0 success, 1 config error, 2 oracle failure, 3 diverged run
 (the master seed and failing trial are reported), 4 failed ``validate``.
@@ -26,7 +28,7 @@ from .diagnostics import (averaged_rate_bound, default_probes, ensemble,
                           estimate_sigma_sq, fit_rate, predicted_rate_exponent,
                           resolve_oracle, theorem_constants)
 from .mappings import Halfspace, ProjectionFamily
-from .schedules import BatchSchedule, StepSchedule, ValidationReport, validate
+from .schedules import BatchSchedule, StepSchedule, validate
 from .solvers import FieldError, SolverConfig
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config",
@@ -198,41 +200,17 @@ def _build_problem(sec: _Section) -> Problem:
     return problem
 
 
-def _build_step(sec: _Section) -> StepSchedule:
+def _build_schedule(sec: _Section, cls):
+    """A ``StepSchedule`` or ``BatchSchedule`` from its section, read by the
+    class's ``KINDS`` and ``OPTIONAL`` tables."""
     kind = sec.get("kind", str, required=True).lower()
+    params = {field: sec.get(key, conv) for key, field, conv in cls.OPTIONAL}
+    if kind not in cls.KINDS:
+        raise ConfigError(f"{sec.path}: [{sec.name}] has unknown kind '{kind}'")
+    params.update((field, sec.get(key, conv, required=True))
+                  for key, field, conv in cls.KINDS[kind])
     with sec.building():
-        if kind == "poly":
-            sched = StepSchedule.poly(sec.get("a", float, required=True))
-        elif kind == "lambda_poly":
-            sched = StepSchedule.lambda_poly(sec.get("a", float, required=True),
-                                             sec.get("lambda", float, required=True))
-        elif kind == "constant":
-            sched = StepSchedule.constant(sec.get("c", float, required=True))
-        else:
-            raise ConfigError(f"{sec.path}: [step] has unknown kind '{kind}'")
-    sec.reject_unused()
-    return sched
-
-
-def _build_batch(sec: _Section) -> BatchSchedule | None:
-    if not sec.entries:
-        return None
-    kind = sec.get("kind", str, required=True).lower()
-    cap = sec.get("cap", int)
-    with sec.building():
-        if kind == "constant":
-            sched = BatchSchedule.constant(sec.get("b", int, required=True), cap=cap)
-        elif kind == "polynomial":
-            sched = BatchSchedule.polynomial(sec.get("a0", float, required=True),
-                                             sec.get("b0", float, required=True),
-                                             sec.get("c", float, required=True),
-                                             cap=cap)
-        elif kind == "exponential":
-            sched = BatchSchedule.exponential(sec.get("b0", float, required=True),
-                                              sec.get("delta", float, required=True),
-                                              cap=cap)
-        else:
-            raise ConfigError(f"{sec.path}: [batch] has unknown kind '{kind}'")
+        sched = cls(kind=kind, **params)
     sec.reject_unused()
     return sched
 
@@ -241,8 +219,9 @@ def parse_config(path: str) -> ExperimentConfig:
     """Parse and fully validate an experiment config file."""
     sections = _read_sections(path)
     problem = _build_problem(_Section(path, "problem", sections["problem"]))
-    step = _build_step(_Section(path, "step", sections["step"]))
-    batch = _build_batch(_Section(path, "batch", sections["batch"]))
+    step = _build_schedule(_Section(path, "step", sections["step"]), StepSchedule)
+    batch = (_build_schedule(_Section(path, "batch", sections["batch"]), BatchSchedule)
+             if sections["batch"] else None)
 
     msec = _Section(path, "method", sections["method"])
     method = msec.get("name", str, required=True).lower()
@@ -279,28 +258,25 @@ def parse_config(path: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # condition logic per method
 
-def method_conditions_ok(report: ValidationReport, method: str) -> tuple[bool, list[str]]:
-    """Check the convergence-theory conditions relevant to the given method."""
-    reasons = []
+_VANISHES = (lambda r: r.step_vanishes, "alpha_k must vanish")
+_ROOT_SUM = (lambda r: r.root_batch_bound is not None, "sum 1/sqrt(b_k) must be finite")
 
-    def need(flag: bool, text: str):
-        if not flag:
-            reasons.append(text)
-
-    if method == "stoch_km":
-        need(report.root_batch_bound is not None, "sum 1/sqrt(b_k) must be finite")
-    elif method == "halpern":
-        need(report.step_vanishes, "alpha_k must vanish")
-    elif method == "stoch_halpern":
-        need(report.step_vanishes, "alpha_k must vanish")
-        need(report.inv_b_le_alpha_sq.holds_eventually,
-             "1/b_k <= alpha_k^2 never holds through the horizon")
-        need(report.root_batch_bound is not None, "sum 1/sqrt(b_k) must be finite")
-    elif method == "stoch_halpern_lambda":
-        need(report.inv_b_le_alpha.holds_eventually,
-             "1/b_k <= alpha_k never holds through the horizon")
-        need(report.batch_bound_B is not None, "sum 1/b_k must be finite")
-    return (not reasons), reasons
+#: the convergence-theory conditions of each method: (test on the report,
+#: the reason printed when it fails)
+_CONDITIONS = {
+    "km": (),
+    "halpern": (_VANISHES,),
+    "stoch_km": (_ROOT_SUM,),
+    "stoch_halpern": (
+        _VANISHES,
+        (lambda r: r.inv_b_le_alpha_sq.holds_eventually,
+         "1/b_k <= alpha_k^2 never holds through the horizon"),
+        _ROOT_SUM),
+    "stoch_halpern_lambda": (
+        (lambda r: r.inv_b_le_alpha.holds_eventually,
+         "1/b_k <= alpha_k never holds through the horizon"),
+        (lambda r: r.batch_bound_B is not None, "sum 1/b_k must be finite")),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +295,34 @@ def _write_csv(path: str, stats) -> None:
         fh.writelines(_CSV_ROW % row for row in zip(*(c.tolist() for c in columns)))
 
 
+def _convergence_lines(s: SolverConfig, sigma_sq, constants) -> tuple[list[str], list[str]]:
+    """The ``constants:`` and ``schedule validation:`` sections, which the
+    summary writes and ``validate`` prints, and the method's unmet
+    conditions (empty when they are satisfied)."""
+    report = validate(s.step, s.batch, s.iterations)
+    unmet = [reason for holds, reason in _CONDITIONS[s.method] if not holds(report)]
+    if constants.B is not None:
+        big_b = _fmt(constants.B)
+    elif s.batch is None:
+        big_b = "undefined (no batch schedule)"
+    else:
+        big_b = f"undefined ({s.batch.kind} batch: sum 1/b_k diverges)"
+    out = ["constants:",
+           f"  sigma_sq_hat: {_fmt(sigma_sq)}",
+           f"  M:  {_fmt(constants.M)}",
+           f"  M1: {_fmt(constants.M1)}",
+           f"  M3: {_fmt(constants.M3)}",
+           f"  B:  {big_b}",
+           "",
+           "schedule validation:"]
+    out.extend("  " + line for line in report.lines())
+    out.append(f"  conditions for {s.method}: {'NOT satisfied' if unmet else 'satisfied'}")
+    out.extend(f"    - {r}" for r in unmet)
+    return out, unmet
+
+
 def _summary_lines(cfg: ExperimentConfig, oracle, sigma_sq, constants,
-                   report: ValidationReport, stats, slope_text: str) -> list[str]:
+                   stats, slope_text: str) -> list[str]:
     s = cfg.solver
     out = []
     out.append(f"problem: {cfg.problem.name} "
@@ -343,19 +345,7 @@ def _summary_lines(cfg: ExperimentConfig, oracle, sigma_sq, constants,
         out.append(f"  condition: {_fmt(oracle.condition)}")
     out.append(f"  f0_star: {_fmt(stats.f0_star)}")
     out.append("")
-    out.append("constants:")
-    out.append(f"  sigma_sq_hat: {_fmt(sigma_sq)}")
-    out.append(f"  M:  {_fmt(constants.M)}")
-    out.append(f"  M1: {_fmt(constants.M1)}")
-    out.append(f"  M3: {_fmt(constants.M3)}")
-    out.append("  B:  " + (_fmt(constants.B) if constants.B is not None
-                           else "undefined (constant batch: sum 1/b_k diverges)"))
-    out.append("")
-    out.append("schedule validation:")
-    out.extend("  " + line for line in report.lines(include_batch=s.batch is not None))
-    ok, reasons = method_conditions_ok(report, s.method)
-    out.append(f"  conditions for {s.method}: {'satisfied' if ok else 'NOT satisfied'}")
-    out.extend(f"    - {r}" for r in reasons)
+    out.extend(_convergence_lines(s, sigma_sq, constants)[0])
     out.append("")
     out.append("rate fit:")
     out.append(f"  window: [{cfg.fit_window[0]}, {cfg.fit_window[1]}]")
@@ -374,12 +364,6 @@ def _summary_lines(cfg: ExperimentConfig, oracle, sigma_sq, constants,
     out.append(f"  mean squared distance to x_star: {_fmt(stats.msq_dist_mean[-1])}")
     out.append(f"  mean f0 gap: {_fmt(stats.f0gap_mean[-1])}")
     return out
-
-
-def _validation_report(s: SolverConfig) -> ValidationReport:
-    """Coupling report for ``s``; deterministic methods scan a constant(1) stand-in batch."""
-    batch = s.batch if s.batch is not None else BatchSchedule.constant(1)
-    return validate(s.step, batch, s.iterations)
 
 
 def _constants(cfg: ExperimentConfig, oracle):
@@ -429,7 +413,6 @@ def run_experiment(config_path: str, trials: int | None = None,
         cfg.prefix = out_prefix
 
     oracle = resolve_oracle(cfg.problem)
-    report = _validation_report(cfg.solver)
     stats = ensemble(cfg.problem, cfg.solver, cfg.trials)
     sigma_sq, constants = _constants(cfg, oracle)
 
@@ -445,8 +428,7 @@ def run_experiment(config_path: str, trials: int | None = None,
     trace_path = cfg.prefix + "_trace.csv"
     summary_path = cfg.prefix + "_summary.txt"
     _write_csv(trace_path, stats)
-    lines = _summary_lines(cfg, oracle, sigma_sq, constants, report, stats,
-                           slope_text)
+    lines = _summary_lines(cfg, oracle, sigma_sq, constants, stats, slope_text)
     with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"wrote {trace_path} and {summary_path}", file=stream)
@@ -455,26 +437,14 @@ def run_experiment(config_path: str, trials: int | None = None,
 
 @_exit_codes
 def validate_only(config_path: str, stream=None) -> int:
-    """Print the validation report and constants preview without running trials."""
+    """Print the summary's ``constants:`` and ``schedule validation:``
+    sections without running trials; exit 4 when a condition is unmet."""
     stream = stream if stream is not None else sys.stdout
     cfg = parse_config(config_path)
-    s = cfg.solver
-    report = _validation_report(s)
-    for line in report.lines(include_batch=s.batch is not None):
-        print(line, file=stream)
-    oracle = resolve_oracle(cfg.problem)
-    sigma_sq, constants = _constants(cfg, oracle)
-    print(f"sigma_sq_hat = {_fmt(sigma_sq)}", file=stream)
-    print(f"M = {_fmt(constants.M)}; M1 = {_fmt(constants.M1)}; "
-          f"M3 = {_fmt(constants.M3)}", file=stream)
-    if constants.B is not None:
-        print(f"B = {_fmt(constants.B)}", file=stream)
-    ok, reasons = method_conditions_ok(report, s.method)
-    print(f"conditions for {s.method}: {'satisfied' if ok else 'NOT satisfied'}",
-          file=stream)
-    for r in reasons:
-        print(f"  - {r}", file=stream)
-    return 0 if ok else 4
+    sigma_sq, constants = _constants(cfg, resolve_oracle(cfg.problem))
+    lines, unmet = _convergence_lines(cfg.solver, sigma_sq, constants)
+    print("\n".join(lines), file=stream)
+    return 4 if unmet else 0
 
 
 def main(argv=None) -> int:

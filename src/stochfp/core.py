@@ -96,19 +96,20 @@ class MappingFamily:
         Ambient dimension ``d``.
     n : int
         Number of component mappings.
-    kind : str
-        Tag describing the construction: ``"projection-mean"``,
-        ``"gradient-mean"``, or ``"custom"``.
+
+    The class attribute ``kind`` tags the construction: ``"projection-mean"``,
+    ``"gradient-mean"``, or ``"custom"``.
     """
 
-    def __init__(self, dim: int, n: int, kind: str = "custom"):
+    kind = "custom"
+
+    def __init__(self, dim: int, n: int):
         if dim < 1:
             raise ValueError("dimension must be >= 1")
         if n < 1:
             raise ValueError("family size must be >= 1")
         self._dim = int(dim)
         self._n = int(n)
-        self._kind = str(kind)
 
     @property
     def dim(self) -> int:
@@ -117,10 +118,6 @@ class MappingFamily:
     @property
     def n(self) -> int:
         return self._n
-
-    @property
-    def kind(self) -> str:
-        return self._kind
 
     def eval_all(self, x: np.ndarray) -> np.ndarray:
         """Evaluate every component at ``x``; returns an ``(n, d)`` array."""
@@ -181,15 +178,15 @@ class MappingFamily:
         return self._exact_mean(xa[None, :])[0]
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"{type(self).__name__}(n={self._n}, dim={self._dim}, kind={self._kind!r})"
+        return f"{type(self).__name__}(n={self._n}, dim={self._dim}, kind={self.kind!r})"
 
 
 class CallableFamily(MappingFamily):
     """Family built from arbitrary Python callables (one per component)."""
 
     def __init__(self, components: Sequence[Callable[[np.ndarray], np.ndarray]],
-                 dim: int, kind: str = "custom"):
-        super().__init__(dim=dim, n=len(components), kind=kind)
+                 dim: int):
+        super().__init__(dim=dim, n=len(components))
         self._components = list(components)
 
     def eval_all(self, x: np.ndarray) -> np.ndarray:
@@ -262,8 +259,6 @@ class RunRecord:
     batch_dist_sq: np.ndarray | None
     step_norms: np.ndarray
     final_point: np.ndarray
-    seed: int
-    method: str
 
     def __post_init__(self):
         ks = np.asarray(self.ks)

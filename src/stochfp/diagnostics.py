@@ -271,8 +271,10 @@ class TheoremConstants:
     and every bound that reuses that quantity reads it from ``M``;
     ``M1`` bounds expected mapped-value norms;
     ``M3 = 4*(M + sigma_sq + ||grad f0(x_star)||^2)`` enters the rate bound
-    of the identity-blended variant; ``B`` is the closed-form bound on
-    ``sum 1/b_k`` (None for constant batches, where no such bound exists).
+    of the identity-blended variant; ``B`` is :func:`batch_inv_sum_bound`,
+    the closed form of ``sum 1/b_k`` over the unfloored, uncapped sizes,
+    which the sum over the emitted sizes may exceed (None without a batch
+    schedule and for the kinds whose sum diverges).
     """
 
     sigma_sq: float
@@ -413,7 +415,7 @@ def predicted_rate_exponent(step: StepSchedule) -> tuple[float | None, str]:
     extra log factor), ``-(1-a)`` above 1/2, and no power law at ``a = 1``
     (a logarithmic bound only).
     """
-    if step.kind not in ("poly", "lambda_poly"):
+    if not step.vanishes:
         return None, "no power-law bound for this step kind"
     a = step.a
     if a < 0.5:

@@ -100,6 +100,8 @@ class ProjectionFamily(MappingFamily):
     feasibility; the projection oracle detects empty intersections).
     """
 
+    kind = "projection-mean"
+
     def __init__(self, halfspaces: Sequence[Halfspace]):
         if len(halfspaces) == 0:
             raise ValueError("need at least one halfspace")
@@ -107,7 +109,7 @@ class ProjectionFamily(MappingFamily):
         for h in halfspaces:
             if h.dim != dim:
                 raise ValueError("halfspaces have mixed dimensions")
-        super().__init__(dim=dim, n=len(halfspaces), kind="projection-mean")
+        super().__init__(dim=dim, n=len(halfspaces))
         self._A = np.stack([h.normal for h in halfspaces])
         self._beta = np.array([h.offset for h in halfspaces])
         self._inv_norm_sq = 1.0 / np.einsum("ij,ij->i", self._A, self._A)
@@ -175,6 +177,8 @@ class GradientFamily(MappingFamily):
     ``ValueError``.
     """
 
+    kind = "gradient-mean"
+
     def __init__(self, terms: Sequence[QuadraticTerm], eta="auto"):
         if len(terms) == 0:
             raise ValueError("need at least one term")
@@ -182,7 +186,7 @@ class GradientFamily(MappingFamily):
         for t in terms:
             if t.dim != dim:
                 raise ValueError("terms have mixed dimensions")
-        super().__init__(dim=dim, n=len(terms), kind="gradient-mean")
+        super().__init__(dim=dim, n=len(terms))
         grams = np.stack([t.A.T @ t.A for t in terms])
         self.l_max = float(np.linalg.eigvalsh(grams)[:, -1].max())
         if eta == "auto":
@@ -246,9 +250,13 @@ class AveragedFamily(MappingFamily):
     def __init__(self, base: MappingFamily, lam: float):
         if not 0.0 <= lam <= 1.0:
             raise ValueError("lambda must lie in [0, 1]")
-        super().__init__(dim=base.dim, n=base.n, kind=base.kind)
+        super().__init__(dim=base.dim, n=base.n)
         self.base = base
         self.lam = float(lam)
+
+    @property
+    def kind(self) -> str:
+        return self.base.kind
 
     def eval_all(self, x: np.ndarray) -> np.ndarray:
         return self.lam * x[None, :] + (1.0 - self.lam) * self.base.eval_all(x)

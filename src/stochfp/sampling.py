@@ -84,14 +84,11 @@ class BatchDraw:
     """One mini-batch of sampled component indices.
 
     ``indices`` are 1-based, each in ``[1, n]``, duplicates allowed; the
-    length is the batch size.  ``k`` and ``seed`` locate the draw in the
-    run's random stream.
+    length is the batch size.
     """
 
     indices: np.ndarray
     n: int
-    k: int
-    seed: int
 
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=np.int64)
@@ -128,7 +125,7 @@ def sample_batch(seed: int, k: int, n: int, b: int) -> BatchDraw:
         raise ValueError(f"iteration k must be an integer in [0, 2**64), got {k!r}")
     row = _draw(iteration_rng(seed, k), b, 1, np.full(n, 1.0 / n))[0]
     indices = row + 1 if b < n else np.repeat(np.arange(1, n + 1), row)
-    return BatchDraw(indices=indices, n=n, k=k, seed=seed)
+    return BatchDraw(indices=indices, n=n)
 
 
 def apply_mini_batch(family: MappingFamily, draw: BatchDraw, x) -> np.ndarray:

@@ -1,11 +1,15 @@
 """Step-size and batch-size schedules and their finite-horizon validation.
 
 Step schedules produce ``alpha_k in (0, 1]``; batch schedules produce integer
-``b_k >= 1``.  The convergence guarantees of the stochastic anchored
-iteration couple the two: pointwise conditions such as ``1/b_k <= alpha_k^2``
-plus summability of ``1/sqrt(b_k)`` (mean-square convergence) or
-``1/b_k <= alpha_k`` plus summability of ``1/b_k`` (rate bounds for the
-lambda-averaged variant).
+``b_k >= 1``.  Each schedule class declares its kinds and their parameters
+once, in its ``KINDS`` table, which the config reader and ``describe`` read.
+
+The convergence guarantees of the stochastic anchored iteration couple the
+two: pointwise conditions such as ``1/b_k <= alpha_k^2`` plus summability of
+``1/sqrt(b_k)`` (mean-square convergence) or ``1/b_k <= alpha_k`` plus
+summability of ``1/b_k`` (rate bounds for the lambda-averaged variant).
+:func:`validate` reports them for one pair of schedules, or the step sums
+alone when there is no batch schedule.
 
 Infinite-horizon statements (divergent step sums, summable batch sums)
 cannot be checked at a finite horizon; :func:`validate` scans a finite
@@ -20,7 +24,7 @@ steps are monotone and ``a <= 1``), so neither condition is scanned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,8 +58,25 @@ def _lambda_step_cap(lam: float) -> float:
     return (2.0 * lam - 1.0) / (2.0 * (1.0 - lam))
 
 
+class _Kinds:
+    """A schedule class's ``KINDS`` table maps each kind to its required
+    ``(config key, field, converter)`` parameters, in printed order;
+    ``OPTIONAL`` lists those any kind may take.  The config reader and
+    :meth:`describe` read the same tables."""
+
+    OPTIONAL = ()
+
+    def describe(self) -> str:
+        def param(key, field, conv):
+            return f"{key}={format(getattr(self, field), 'd' if conv is int else 'g')}"
+
+        optional = [" " + param(*p) for p in self.OPTIONAL if getattr(self, p[1]) is not None]
+        return "".join([f"{self.kind}({', '.join(param(*p) for p in self.KINDS[self.kind])})",
+                        *optional])
+
+
 @dataclass(frozen=True)
-class StepSchedule:
+class StepSchedule(_Kinds):
     """Rule producing the step size ``alpha_k`` for each iteration.
 
     Kinds
@@ -69,6 +90,10 @@ class StepSchedule:
     constant(c):
         ``alpha_k = c`` with ``c in (0, 1]``.
     """
+
+    KINDS = {"poly": (("a", "a", float),),
+             "lambda_poly": (("a", "a", float), ("lambda", "lam", float)),
+             "constant": (("c", "c", float),)}
 
     kind: str
     a: float | None = None
@@ -135,16 +160,9 @@ class StepSchedule:
         """Whether alpha_k -> 0 (true for the polynomially decreasing kinds)."""
         return self.kind in ("poly", "lambda_poly")
 
-    def describe(self) -> str:
-        if self.kind == "poly":
-            return f"poly(a={self.a:g})"
-        if self.kind == "lambda_poly":
-            return f"lambda_poly(a={self.a:g}, lambda={self.lam:g})"
-        return f"constant(c={self.c:g})"
-
 
 @dataclass(frozen=True)
-class BatchSchedule:
+class BatchSchedule(_Kinds):
     """Rule producing the mini-batch size ``b_k >= 1`` for each iteration.
 
     Kinds
@@ -161,6 +179,11 @@ class BatchSchedule:
     sizes are only ever increased finitely; it costs the infinite-horizon
     summability certificates, which is why the validator flags cap hits.
     """
+
+    KINDS = {"constant": (("b", "b", int),),
+             "polynomial": (("a0", "a0", float), ("b0", "b0", float), ("c", "c", float)),
+             "exponential": (("b0", "b0", float), ("delta", "delta", float))}
+    OPTIONAL = (("cap", "cap", int),)
 
     kind: str
     b: int | None = None
@@ -258,17 +281,6 @@ class BatchSchedule:
         """``at(k)`` for ``k < horizon`` as int64, saturated at 2^62 likewise."""
         return np.minimum(self.values_float(horizon), float(_HUGE_BATCH)).astype(np.int64)
 
-    def describe(self) -> str:
-        if self.kind == "constant":
-            s = f"constant(b={self.b})"
-        elif self.kind == "polynomial":
-            s = f"polynomial(a0={self.a0:g}, b0={self.b0:g}, c={self.c:g})"
-        else:
-            s = f"exponential(b0={self.b0:g}, delta={self.delta:g})"
-        if self.cap is not None:
-            s += f" cap={self.cap}"
-        return s
-
 
 def poly_step_sum_lower_bound(a: float, horizon: int) -> float:
     """Closed-form lower bound for ``sum_{k<K} (k+1)^(-a)`` certifying divergence."""
@@ -290,11 +302,14 @@ def lambda_poly_sq_sum_bound(a: float, lam: float, horizon: int) -> float:
 
 
 def batch_inv_sum_bound(batch: BatchSchedule) -> float | None:
-    """Closed-form bound ``B`` on ``sum_k 1/b_k`` for the increasing kinds.
+    """Closed-form ``B`` for ``sum_k 1/b_k`` over the unfloored, uncapped sizes.
 
-    ``None`` for constant batches (the sum diverges) and for polynomial
-    batches with ``c <= 1``.  The bound ignores any cap; a capped schedule
-    eventually exceeds it, which the validator reports.
+    For ``exponential`` it is the infinite sum of ``1/(b0*delta^k)``; for
+    ``polynomial`` with ``c > 1`` it bounds the sum of ``1/(a0*k+b0)^c``
+    when ``min(a0, b0) >= 1``.  ``None`` for constant batches (the sum
+    diverges) and for polynomial batches with ``c <= 1``.  Flooring makes
+    each emitted ``b_k`` smaller, and a cap stops its growth, so the sum
+    over the emitted sizes may exceed ``B``; the validator reports that.
     """
     if batch.kind == "exponential":
         return batch.delta / ((batch.delta - 1.0) * batch.b0)
@@ -304,12 +319,14 @@ def batch_inv_sum_bound(batch: BatchSchedule) -> float | None:
 
 
 def batch_inv_sqrt_sum_bound(batch: BatchSchedule) -> float | None:
-    """Closed-form bound on ``sum_k 1/sqrt(b_k)`` for the increasing kinds.
+    """Closed-form bound for ``sum_k 1/sqrt(b_k)`` over the unfloored, uncapped sizes.
 
     Obtained by applying the 1/b_k bound pattern at exponent 1/2: the
     exponential case is the exact geometric limit
     ``sqrt(delta) / ((sqrt(delta) - 1) * sqrt(b0))``; the polynomial case
-    requires ``c > 2``.  ``None`` when neither applies.
+    requires ``c > 2``.  ``None`` when neither applies.  Like
+    :func:`batch_inv_sum_bound`, it does not bound the sum over floored or
+    capped sizes.
     """
     if batch.kind == "exponential":
         r = math.sqrt(batch.delta)
@@ -333,15 +350,11 @@ class ConditionScan:
     first_violation: int | None
 
     @property
-    def holds_everywhere(self) -> bool:
-        return self.k0 == 0
-
-    @property
     def holds_eventually(self) -> bool:
         return self.k0 is not None
 
     def describe(self) -> str:
-        if self.holds_everywhere:
+        if self.k0 == 0:
             return f"{self.name}: holds for all k in horizon"
         if self.k0 is None:
             return (f"{self.name}: never holds through horizon "
@@ -360,6 +373,11 @@ def _scan(name: str, ok: np.ndarray) -> ConditionScan:
     return ConditionScan(name, k0, first_violation)
 
 
+def _le(value: float, bound: float) -> str:
+    """``<=`` when ``value`` is at most ``bound`` (to 1e-12 relative), else ``>``."""
+    return "<=" if value <= bound * (1 + 1e-12) else ">"
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     """Finite-horizon report of the step/batch coupling conditions.
@@ -369,48 +387,43 @@ class ValidationReport:
     Partial sums are over the actually emitted values (floors and caps
     included).  ``batch_bound_B`` and ``root_batch_bound`` are the
     closed-form tail certificates by schedule kind, ``None`` where the kind
-    certifies no summability.
+    certifies no summability; they are taken over the unfloored, uncapped
+    sizes, so the emitted partial sums may exceed them.  Without a batch
+    schedule (deterministic methods) every batch field is ``None``.
     """
 
     horizon: int
-    inv_b_le_alpha: ConditionScan
-    inv_b_le_alpha_sq: ConditionScan
     sum_alpha: float
     sum_alpha_sq: float
-    sum_inv_b: float
-    sum_inv_sqrt_b: float
-    batch_bound_B: float | None
-    sum_inv_b_le_B: bool | None
-    root_batch_bound: float | None
-    sum_inv_sqrt_b_le_root_bound: bool | None
     step_vanishes: bool
-    cap_hit: bool
+    inv_b_le_alpha: ConditionScan | None = None
+    inv_b_le_alpha_sq: ConditionScan | None = None
+    sum_inv_b: float | None = None
+    sum_inv_sqrt_b: float | None = None
+    batch_bound_B: float | None = None
+    root_batch_bound: float | None = None
+    cap_hit: bool = False
 
-    def lines(self, include_batch: bool = True) -> list[str]:
-        """Human-readable report lines for summaries and validate output.
-
-        ``include_batch=False`` drops the batch-coupling lines, for
-        deterministic methods where no batch schedule is in play.
-        """
+    def lines(self) -> list[str]:
+        """Human-readable report lines for the summary and ``validate``."""
+        batch = self.inv_b_le_alpha is not None
         out = [f"horizon K = {self.horizon}"]
-        if include_batch:
+        if batch:
             out.append(self.inv_b_le_alpha.describe())
             out.append(self.inv_b_le_alpha_sq.describe())
         out.append(f"sum alpha_k            = {self.sum_alpha:.12g}")
         out.append(f"sum alpha_k^2          = {self.sum_alpha_sq:.12g}")
-        if include_batch:
+        if batch:
             out.append(f"sum 1/b_k              = {self.sum_inv_b:.12g}")
             out.append(f"sum 1/sqrt(b_k)        = {self.sum_inv_sqrt_b:.12g}")
             if self.batch_bound_B is not None:
-                ok = "<=" if self.sum_inv_b_le_B else ">"
                 out.append(f"closed-form B = {self.batch_bound_B:.12g} "
-                           f"(sum 1/b_k {ok} B)")
+                           f"(sum 1/b_k {_le(self.sum_inv_b, self.batch_bound_B)} B)")
             if self.root_batch_bound is not None:
-                ok = "<=" if self.sum_inv_sqrt_b_le_root_bound else ">"
-                out.append(f"root-sum bound = {self.root_batch_bound:.12g} "
-                           f"(sum 1/sqrt(b_k) {ok} bound)")
+                out.append(f"root-sum bound = {self.root_batch_bound:.12g} (sum 1/sqrt(b_k) "
+                           f"{_le(self.sum_inv_sqrt_b, self.root_batch_bound)} bound)")
         out.append(f"step vanishes: {self.step_vanishes}")
-        if include_batch:
+        if batch:
             out.append(f"1/sqrt(b_k) summable (by kind, ignoring cap): "
                        f"{self.root_batch_bound is not None}; "
                        f"1/b_k summable: {self.batch_bound_B is not None}")
@@ -420,39 +433,31 @@ class ValidationReport:
         return out
 
 
-def validate(step: StepSchedule, batch: BatchSchedule, horizon: int) -> ValidationReport:
+def validate(step: StepSchedule, batch: BatchSchedule | None, horizon: int) -> ValidationReport:
     """Scan the two coupling conditions on ``1/b_k`` over ``k in [0, horizon)``.
 
     Infeasibility is reported, never raised: prefix violations carry the
     first index ``k0`` from which the condition holds through the horizon,
     and conditions failing at the end are marked "never within horizon".
+    With ``batch=None`` only the step sums are reported.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     alphas = step.values(horizon)
+    report = ValidationReport(horizon=horizon, sum_alpha=float(alphas.sum()),
+                              sum_alpha_sq=float((alphas**2).sum()),
+                              step_vanishes=step.vanishes)
+    if batch is None:
+        return report
     bs = batch.values_float(horizon)
     inv_b = 1.0 / bs
-
-    big_b = batch_inv_sum_bound(batch)
-    root_b = batch_inv_sqrt_sum_bound(batch)
-    sum_inv_b = float(inv_b.sum())
-    sum_inv_sqrt_b = float(np.sum(1.0 / np.sqrt(bs)))
-    cap_hit = batch.cap is not None and bool(np.any(bs >= batch.cap))
-
-    return ValidationReport(
-        horizon=horizon,
+    return replace(
+        report,
         inv_b_le_alpha=_scan("1/b_k <= alpha_k", inv_b <= alphas + 1e-15),
         inv_b_le_alpha_sq=_scan("1/b_k <= alpha_k^2", inv_b <= alphas**2 + 1e-15),
-        sum_alpha=float(alphas.sum()),
-        sum_alpha_sq=float((alphas**2).sum()),
-        sum_inv_b=sum_inv_b,
-        sum_inv_sqrt_b=sum_inv_sqrt_b,
-        batch_bound_B=big_b,
-        sum_inv_b_le_B=None if big_b is None else bool(sum_inv_b <= big_b * (1 + 1e-12)),
-        root_batch_bound=root_b,
-        sum_inv_sqrt_b_le_root_bound=(
-            None if root_b is None else bool(sum_inv_sqrt_b <= root_b * (1 + 1e-12))
-        ),
-        step_vanishes=step.vanishes,
-        cap_hit=cap_hit,
+        sum_inv_b=float(inv_b.sum()),
+        sum_inv_sqrt_b=float(np.sum(1.0 / np.sqrt(bs))),
+        batch_bound_B=batch_inv_sum_bound(batch),
+        root_batch_bound=batch_inv_sqrt_sum_bound(batch),
+        cap_hit=batch.cap is not None and bool(np.any(bs >= batch.cap)),
     )

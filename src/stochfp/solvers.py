@@ -159,8 +159,6 @@ def run(problem: Problem, cfg: SolverConfig) -> RunRecord:
         batch_dist_sq=None if trace.batch_dist_sq is None else trace.batch_dist_sq[0],
         step_norms=trace.step_norms[0],
         final_point=trace.final_points[0],
-        seed=int(cfg.seed),
-        method=cfg.method,
     )
 
 

@@ -58,6 +58,8 @@ def test_minimal_deterministic_run(tmp_path):
         assert float(cols[1]) == StepSchedule.poly(1.0).at(int(cols[0]))
     summary = (tmp_path / "out" / "mini_summary.txt").read_text()
     assert "oracle" in summary and "x_star" in summary
+    assert "  B:  undefined (no batch schedule)" in summary.splitlines()
+    assert "constant batch" not in summary
 
 
 QUADRATIC = """\
@@ -159,6 +161,11 @@ def test_overrides_take_effect(tmp_path):
     pytest.param(MINIMAL_PROBLEM, QUADRATIC_PROBLEM + "\neta = 5", id="eta_above_2_over_l_max"),
     pytest.param("name = halpern", "name = stoch_halpern_lambda\nlambda = 0.6\n[batch]\n"
                  "kind = constant\nb = 4", id="lambda_step_above_cap"),
+    pytest.param("a = 1.0", "a = 1.0\nc = 0.3", id="poly_step_stray_c"),
+    pytest.param("name = halpern", "name = stoch_halpern\n[batch]\nkind = constant\n"
+                 "b = 2.5", id="batch_b_not_whole"),
+    pytest.param("name = halpern", "name = stoch_halpern\n[batch]\nkind = nosuch\nb = 4",
+                 id="batch_unknown_kind"),
 ])
 def test_config_errors_exit_1(request, tmp_path, capsys, mutation, fragment):
     # both commands refuse every config error before any work, with exit 1;
@@ -166,7 +173,9 @@ def test_config_errors_exit_1(request, tmp_path, capsys, mutation, fragment):
     text = MINIMAL.format(prefix=tmp_path / "x").replace(mutation, fragment)
     cfg = _write(tmp_path, text)
     cited = {"delta_nan": "kind = exponential",
-             "eta_nan": "kind = quadratic"}.get(request.node.callspec.id)
+             "eta_nan": "kind = quadratic",
+             "poly_step_stray_c": "c = 0.3",
+             "batch_b_not_whole": "b = 2.5"}.get(request.node.callspec.id)
     for command in (cli.run_experiment, cli.validate_only):
         assert command(cfg) == 1
         err = capsys.readouterr().err
@@ -282,14 +291,27 @@ def test_validate_exit_0_and_prints_bound(tmp_path, capsys):
     cfg = _write(tmp_path, VALIDATE_OK.format(prefix=tmp_path / "v"))
     assert cli.validate_only(cfg) == 0
     out = capsys.readouterr().out
-    assert "B = 0.0625" in out
+    assert "  B:  0.0625" in out.splitlines()
     assert "satisfied" in out
     # polynomial batch (k+1)^3: B = (2c-1)/((c-1)*min(a0, b0)), through main
     text = VALIDATE_OK.format(prefix=tmp_path / "v").replace(
         "kind = exponential\nb0 = 32\ndelta = 2.0", "kind = polynomial\na0 = 1\nb0 = 1\nc = 3")
     assert cli.main(["validate", _write(tmp_path, text)]) == 0
     out = capsys.readouterr().out
-    assert "B = 2.5" in out and "conditions for stoch_halpern: satisfied" in out
+    assert "  B:  2.5" in out.splitlines()
+    assert "conditions for stoch_halpern: satisfied" in out
+
+
+@pytest.mark.parametrize("template", [MINIMAL, VALIDATE_OK], ids=["halpern", "stoch_halpern"])
+def test_validate_prints_the_summary_sections(tmp_path, capsys, template):
+    # validate prints exactly the summary's constants: and schedule
+    # validation: sections, the blank line between them included
+    cfg = _write(tmp_path, template.format(prefix=tmp_path / "s"))
+    assert cli.validate_only(cfg) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert cli.run_experiment(cfg) == 0
+    summary = (tmp_path / "s_summary.txt").read_text().splitlines()
+    assert out == summary[summary.index("constants:"):summary.index("rate fit:") - 1]
 
 
 def test_validate_exit_4_constant_batch(tmp_path, capsys):
@@ -299,6 +321,13 @@ def test_validate_exit_4_constant_batch(tmp_path, capsys):
     assert cli.validate_only(cfg) == 4
     out = capsys.readouterr().out
     assert "NOT satisfied" in out and "sum 1/sqrt(b_k) must be finite" in out
+    assert "  B:  undefined (constant batch: sum 1/b_k diverges)" in out.splitlines()
+    # a polynomial batch with c <= 1 has no B either, and names its own kind
+    cfg = _write(tmp_path, ok.replace("kind = exponential\nb0 = 32\ndelta = 2.0",
+                                      "kind = polynomial\na0 = 1\nb0 = 4\nc = 1"))
+    assert cli.validate_only(cfg) == 4
+    assert ("  B:  undefined (polynomial batch: sum 1/b_k diverges)"
+            in capsys.readouterr().out.splitlines())
     # an averaged method on constant(1), the one step schedule whose
     # sum alpha_k(1-alpha_k) converges, is a config error for both commands
     text = ok.replace("name = stoch_halpern\n\n[step]\nkind = poly\na = 0.5",

@@ -133,15 +133,15 @@ def test_sample_batch_rejects_a_key_or_counter_philox_cannot_hold(seed, k, field
 
 def test_draw_validates_indices():
     with pytest.raises(ValueError):
-        BatchDraw(indices=np.array([0, 1]), n=3, k=0, seed=0)
+        BatchDraw(indices=np.array([0, 1]), n=3)
     with pytest.raises(ValueError):
-        BatchDraw(indices=np.array([4]), n=3, k=0, seed=0)
+        BatchDraw(indices=np.array([4]), n=3)
     with pytest.raises(ValueError):
-        BatchDraw(indices=np.array([], dtype=np.int64), n=3, k=0, seed=0)
+        BatchDraw(indices=np.array([], dtype=np.int64), n=3)
 
 
 def test_counts_ascending_order():
-    draw = BatchDraw(indices=np.array([3, 1, 3, 2, 3]), n=4, k=0, seed=0)
+    draw = BatchDraw(indices=np.array([3, 1, 3, 2, 3]), n=4)
     assert draw.counts().tolist() == [1, 1, 3, 0]
 
 
@@ -152,19 +152,19 @@ def _interval_family():
 
 def test_apply_all_indices_equal_gives_component():
     fam = _interval_family()
-    draw = BatchDraw(indices=np.array([2, 2, 2, 2]), n=2, k=0, seed=0)
+    draw = BatchDraw(indices=np.array([2, 2, 2, 2]), n=2)
     assert apply_mini_batch(fam, draw, [0.5])[0] == pytest.approx(1.0)
 
 
 def test_apply_mixed_draw_interval_family():
     fam = _interval_family()
-    draw = BatchDraw(indices=np.array([1, 2]), n=2, k=0, seed=0)
+    draw = BatchDraw(indices=np.array([1, 2]), n=2)
     assert apply_mini_batch(fam, draw, [0.5])[0] == pytest.approx(0.5)
 
 
 def test_apply_full_sweep_equals_exact_mean():
     fam = two_halfspace_problem().family
-    draw = BatchDraw(indices=np.arange(1, fam.n + 1), n=fam.n, k=0, seed=0)
+    draw = BatchDraw(indices=np.arange(1, fam.n + 1), n=fam.n)
     x = np.array([0.8, 0.1])
     np.testing.assert_allclose(apply_mini_batch(fam, draw, x),
                                fam.mean(x), rtol=1e-15)
@@ -172,12 +172,12 @@ def test_apply_full_sweep_equals_exact_mean():
 
 def test_apply_skips_an_undrawn_overflowing_component():
     fam = CallableFamily([lambda x: x, lambda x: 1e308 * x + 1e308], dim=1)
-    draw = BatchDraw(indices=np.array([1, 1]), n=2, k=0, seed=0)
+    draw = BatchDraw(indices=np.array([1, 1]), n=2)
     np.testing.assert_array_equal(apply_mini_batch(fam, draw, [1.0]), [1.0])
 
 
 def test_apply_rejects_family_mismatch():
     fam = _interval_family()
-    draw = BatchDraw(indices=np.array([3]), n=3, k=0, seed=0)
+    draw = BatchDraw(indices=np.array([3]), n=3)
     with pytest.raises(ValueError):
         apply_mini_batch(fam, draw, [0.0])

@@ -136,7 +136,7 @@ def test_validate_poly_constant_k0_example():
 def test_validate_exponential_b32_bound_value():
     rep = validate(StepSchedule.poly(0.5), BatchSchedule.exponential(32, 2.0), 200)
     assert rep.batch_bound_B == pytest.approx(0.0625, abs=0.0)
-    assert rep.sum_inv_b_le_B
+    assert "closed-form B = 0.0625 (sum 1/b_k <= B)" in rep.lines()
     assert rep.inv_b_le_alpha_sq.k0 == 0
 
 
@@ -204,6 +204,40 @@ def test_constant_batch_root_sum_grows_linearly():
         assert s2 >= 1.9 * s1
     assert batch_inv_sum_bound(b) is None
     assert batch_inv_sqrt_sum_bound(b) is None
+
+
+def test_validate_without_batch_reports_the_step_sums_only():
+    rep = validate(StepSchedule.poly(1.0), None, 400)
+    assert rep.inv_b_le_alpha is None and rep.batch_bound_B is None
+    assert rep.lines() == ["horizon K = 400",
+                           "sum alpha_k            = 6.56992969118",
+                           "sum alpha_k^2          = 1.64243718924",
+                           "step vanishes: True"]
+
+
+@pytest.mark.parametrize("sched, text", [
+    (StepSchedule.poly(0.5), "poly(a=0.5)"),
+    (StepSchedule.poly(1), "poly(a=1)"),
+    (StepSchedule.lambda_poly(0.25, 0.6), "lambda_poly(a=0.25, lambda=0.6)"),
+    (StepSchedule.lambda_poly(1, 0.75), "lambda_poly(a=1, lambda=0.75)"),
+    (StepSchedule.constant(0.3), "constant(c=0.3)"),
+    (StepSchedule.constant(1), "constant(c=1)"),
+    (BatchSchedule.constant(7), "constant(b=7)"),
+    (BatchSchedule.constant(10**6), "constant(b=1000000)"),
+    (BatchSchedule.constant(4.0, cap=2**16), "constant(b=4) cap=65536"),
+    (BatchSchedule.polynomial(1, 1, 3), "polynomial(a0=1, b0=1, c=3)"),
+    (BatchSchedule.polynomial(0.5, 0.25, 1.5, cap=1000),
+     "polynomial(a0=0.5, b0=0.25, c=1.5) cap=1000"),
+    (BatchSchedule.exponential(8, 1.05, cap=4096), "exponential(b0=8, delta=1.05) cap=4096"),
+    (BatchSchedule.exponential(32, 2.0), "exponential(b0=32, delta=2)"),
+    (BatchSchedule.exponential(10**6, 1.01), "exponential(b0=1e+06, delta=1.01)"),
+    (BatchSchedule.exponential(1e-7, 2.5), "exponential(b0=1e-07, delta=2.5)"),
+    (BatchSchedule.exponential(0.3, 1.5, cap=10**30),
+     "exponential(b0=0.3, delta=1.5) cap=1000000000000000000000000000000"),
+])
+def test_describe(sched, text):
+    # whole-number sizes print as integers, every other parameter with %g
+    assert sched.describe() == text
 
 
 def test_cap_hit_reported():

@@ -56,7 +56,7 @@ def test_record_row_count_matches_stride():
 
 def _singleton_stochastic_family():
     # n=1 family: batch mean is always the single component
-    return CallableFamily([lambda x: 0.5 * x + 1.0], dim=2, kind="custom")
+    return CallableFamily([lambda x: 0.5 * x + 1.0], dim=2)
 
 
 @pytest.mark.parametrize("det_method, stoch_method", [
