@@ -3,13 +3,13 @@
 Solves ``x = T(x)`` where ``T`` is the mean of finitely many nonexpansive
 mappings, using anchored (Halpern-type) and averaged (Krasnosel'skii-Mann)
 iterations, deterministically or with sampled mini-batch means.  Ships
-schedule validators, independent oracles for the limit point, and seeded
-Monte-Carlo diagnostics.
+schedule validators, seeded Monte-Carlo diagnostics, and families that
+certify their own limit point independently of the solvers.
 """
 
 from .core import (CallableFamily, DimensionMismatchError, DivergenceError,
                    EnsembleStats, MappingFamily, OracleError, OracleInfo,
-                   Problem, RunRecord, as_point, f0_value)
+                   OracleResult, Problem, RunRecord, as_point, f0_value)
 from .mappings import (AveragedFamily, GradientFamily, Halfspace,
                        NonexpansivityError, ProjectionFamily, QuadraticTerm,
                        project_halfspace)
@@ -17,9 +17,8 @@ from .schedules import (BatchSchedule, ConditionScan, StepSchedule,
                         ValidationReport, validate)
 from .sampling import BatchDraw, apply_mini_batch, iteration_rng, sample_batch
 from .solvers import METHODS, STOCHASTIC_METHODS, SolverConfig, run
-from .diagnostics import (OracleResult, TheoremConstants, averaged_rate_bound,
-                          default_probes, ensemble, estimate_sigma_sq,
-                          fit_rate, oracle_feasibility, oracle_quadratic,
+from .diagnostics import (TheoremConstants, averaged_rate_bound, default_probes,
+                          ensemble, estimate_sigma_sq, fit_rate,
                           predicted_rate_exponent, resolve_oracle, sample_ball,
                           theorem_constants)
 from .benchmarks import (random_halfspace_problem, random_quadratic_problem,
@@ -41,7 +40,7 @@ __all__ = [
     "METHODS", "STOCHASTIC_METHODS", "SolverConfig",
     "run",
     "OracleResult", "TheoremConstants",
-    "oracle_feasibility", "oracle_quadratic", "resolve_oracle",
+    "resolve_oracle",
     "estimate_sigma_sq", "sample_ball", "default_probes",
     "theorem_constants", "averaged_rate_bound",
     "ensemble", "fit_rate", "predicted_rate_exponent",

@@ -31,7 +31,7 @@ def two_halfspace_problem() -> Problem:
     return Problem(
         family=ProjectionFamily(halfspaces),
         x0=np.array([1.0, 0.0]),
-        oracle_info=OracleInfo(kind="halfspaces", data=halfspaces),
+        oracle_info=OracleInfo(halfspaces),
         name="two_halfspace",
     )
 
@@ -54,7 +54,7 @@ def random_halfspace_problem(n: int, dim: int, gen_seed: int,
     return Problem(
         family=ProjectionFamily(halfspaces),
         x0=np.full(dim, float(anchor_scale)),
-        oracle_info=OracleInfo(kind="halfspaces", data=halfspaces),
+        oracle_info=OracleInfo(halfspaces),
         name=f"halfspaces_n{n}_d{dim}",
     )
 
@@ -87,6 +87,6 @@ def random_quadratic_problem(n: int, dim: int, gen_seed: int,
     return Problem(
         family=GradientFamily(terms, eta=eta),
         x0=np.zeros(dim),
-        oracle_info=OracleInfo(kind="quadratic", data=terms),
+        oracle_info=OracleInfo(terms),
         name=f"quadratic_n{n}_d{dim}",
     )

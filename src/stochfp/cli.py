@@ -180,7 +180,7 @@ def _build_problem(sec: _Section) -> Problem:
             x0 = sec.get("x0", _vector, required=True)
             halfspaces = tuple(halfspaces)
             problem = Problem(family=ProjectionFamily(halfspaces), x0=x0,
-                              oracle_info=OracleInfo("halfspaces", halfspaces),
+                              oracle_info=OracleInfo(halfspaces),
                               name="halfspaces")
         elif kind == "random_halfspaces":
             problem = random_halfspace_problem(

@@ -3,7 +3,8 @@
 Iterates live in R^d and are represented as plain 1-D float64 numpy arrays.
 A :class:`MappingFamily` bundles ``n`` component mappings ``T_1, ..., T_n``
 together with their exact mean ``T(x) = (1/n) sum_i T_i(x)``, which is the
-operator whose fixed points the solvers target.  All types in this module are
+operator whose fixed points the solvers target, and answers the oracle query
+for the point of that set nearest an anchor.  All types in this module are
 immutable after construction and safe to share across threads; evaluation is
 pure.
 """
@@ -24,6 +25,7 @@ __all__ = [
     "MappingFamily",
     "CallableFamily",
     "OracleInfo",
+    "OracleResult",
     "Problem",
     "RunRecord",
     "EnsembleStats",
@@ -46,6 +48,17 @@ class DivergenceError(RuntimeError):
 
 class OracleError(RuntimeError):
     """An independent oracle failed to produce a certified solution."""
+
+
+@dataclass(frozen=True)
+class OracleResult:
+    """Certified limit point with its residual under the exact family mean."""
+
+    x_star: np.ndarray
+    residual_at_star: float
+    method: str
+    iterations: int | None = None
+    condition: float | None = None
 
 
 def as_point(x, dim: int | None = None, name: str = "x") -> np.ndarray:
@@ -86,7 +99,8 @@ class MappingFamily:
     give the exact mean, ``counts / b`` a batch of ``b >= n`` drawn as
     counts), and :meth:`sampled_mean`, which averages only the drawn
     components (batches of ``b < n`` drawn as indices).  An affine family
-    also overrides the private hook :meth:`_affine`.
+    also overrides the private hook :meth:`_affine`, and a family that can
+    certify its limit point overrides :meth:`nearest_fixed_point`.
     Component indices are 1-based in the public API, matching the sampling
     convention; row ``i`` of :meth:`eval_all` holds ``T_{i+1}(x)``.
 
@@ -177,6 +191,11 @@ class MappingFamily:
         xa = as_point(x, dim=self._dim)
         return self._exact_mean(xa[None, :])[0]
 
+    def nearest_fixed_point(self, x0) -> OracleResult:
+        """The point of Fix(T) nearest ``x0``, certified without the solvers;
+        :class:`OracleError` when the family cannot, as this version never can."""
+        raise OracleError(f"{type(self).__name__} has no oracle")
+
     def __repr__(self) -> str:  # pragma: no cover
         return f"{type(self).__name__}(n={self._n}, dim={self._dim}, kind={self.kind!r})"
 
@@ -205,14 +224,12 @@ class CallableFamily(MappingFamily):
 
 @dataclass(frozen=True)
 class OracleInfo:
-    """Data sufficient to compute the anchor's projection onto Fix(T) independently.
+    """A problem's opt-in to the oracle, which asks the family itself.
 
-    ``kind`` selects the oracle route: ``"halfspaces"`` (active-set projection
-    oracle over the stored halfspace list) or ``"quadratic"`` (normal
-    equations over the stored least-squares terms).
+    ``data`` keeps the halfspaces or terms the family was built from, for a
+    reference point computed without the package.
     """
 
-    kind: str
     data: tuple
 
 
@@ -222,8 +239,10 @@ class Problem:
 
     ``x0`` doubles as the initial iterate and the anchor of the anchored
     iterations; the target point is the projection of ``x0`` onto the fixed
-    point set of the family mean.  The problem is frozen and ``x0`` is a
-    read-only copy, so the memoized oracle result cannot go stale.
+    point set of the family mean.  ``oracle_info=None`` means no oracle and
+    no distance columns, and is not derived from the family: halfspaces that
+    do not meet still run, without one.  The problem is frozen and ``x0`` is
+    a read-only copy, so the memoized oracle result cannot go stale.
     """
 
     family: MappingFamily

@@ -1,32 +1,25 @@
-"""Independent oracles, Monte-Carlo ensembles, and convergence diagnostics.
+"""Oracle resolution, Monte-Carlo ensembles, and convergence diagnostics.
 
-The oracles compute the limit point ``x_star`` (the projection of the anchor
-onto the fixed point set) by routes independent of the iterative solvers:
-a finite dual active-set projection for halfspace intersections, which
-reports an empty intersection at the step that proves it, and dense normal
-equations for quadratic families.  Ensembles aggregate many seeded
-runs into per-iteration means and standard errors, from which the bound
-constants of the convergence analysis and empirical rate exponents are
-checked.
+:func:`resolve_oracle` asks a problem's family for the limit point
+``x_star`` (the projection of the anchor onto the fixed point set), which
+each family computes by a route independent of the iterative solvers.
+Ensembles aggregate many seeded runs into per-iteration means and standard
+errors, from which the bound constants of the convergence analysis and
+empirical rate exponents are checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .core import (EnsembleStats, OracleError, Problem, as_point, f0_value)
-from .mappings import Halfspace, ProjectionFamily, QuadraticTerm
+from .core import EnsembleStats, OracleResult, Problem, as_point, f0_value
 from .schedules import BatchSchedule, StepSchedule, batch_inv_sum_bound
 from .solvers import SolverConfig, _run_trials
 
 __all__ = [
-    "OracleResult",
     "TheoremConstants",
-    "oracle_feasibility",
-    "oracle_quadratic",
     "resolve_oracle",
     "estimate_sigma_sq",
     "sample_ball",
@@ -38,181 +31,16 @@ __all__ = [
     "predicted_rate_exponent",
 ]
 
-@dataclass(frozen=True)
-class OracleResult:
-    """Certified limit point with its residual under the exact family mean."""
-
-    x_star: np.ndarray
-    residual_at_star: float
-    method: str
-    iterations: int | None = None
-    condition: float | None = None
-
-
-def _gram_schmidt(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal ``Q`` and upper triangular ``R`` with ``normals.T == Q @ R``.
-
-    Classical Gram-Schmidt applied twice per column, which keeps ``Q``
-    orthonormal to rounding for the at most ``d`` normals of an active set.
-    """
-    q, dim = normals.shape
-    Q, R = np.zeros((dim, q)), np.zeros((q, q))
-    for k, a in enumerate(normals):
-        R[:k, k], w = _orthogonal_part(Q[:, :k], a)
-        R[k, k] = np.sqrt(w @ w)
-        Q[:, k] = w / R[k, k]
-    return Q, R
-
-
-def _orthogonal_part(Q: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``r`` and ``w`` with ``a = Q r + w`` and ``w`` orthogonal to ``Q``'s columns."""
-    r = Q.T @ a
-    w = a - Q @ r
-    c = Q.T @ w
-    return r + c, w - Q @ c
-
-
-def _back_substitute(R: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Solve ``R v = r`` for upper triangular ``R``."""
-    v = np.zeros_like(r)
-    for i in range(r.size - 1, -1, -1):
-        v[i] = (r[i] - R[i, i + 1:] @ v[i + 1:]) / R[i, i]
-    return v
-
-
-def oracle_feasibility(halfspaces: Sequence[Halfspace], x0) -> OracleResult:
-    """Project ``x0`` onto the intersection of halfspaces by a dual active-set method.
-
-    Solves ``min (1/2)||x - x0||^2`` subject to ``<a_i, x> <= beta_i`` with
-    the Goldfarb-Idnani method (identity Hessian).  It starts at ``x = x0``
-    with no active constraint and enters the most violated constraint
-    (violation scaled by ``||a_i||``).  It then moves along the part of that
-    normal orthogonal to the active normals while raising its multiplier,
-    until either the constraint holds with equality (it joins the active
-    set) or an active multiplier reaches zero (that constraint leaves the
-    set and the move continues).  The dual objective never decreases, so the
-    method ends after finitely many steps at the exact nearest point, once
-    no constraint is violated beyond a relative 1e-12.  Each step costs one
-    ``A @ x`` over the stacked normals plus Gram-Schmidt work on at most
-    ``d`` active normals; no ``(n, n)`` matrix is formed.  ``iterations``
-    counts the steps (each entry or exit of a constraint).
-
-    Raises
-    ------
-    OracleError
-        At the step that proves the intersection empty: the entering normal
-        lies in the span of the active normals with no positive dual
-        direction, a Farkas certificate.  Also if the budget of
-        ``10 * (n + d)`` steps runs out, or if the point's residual under the
-        mean-projection mapping exceeds 1e-8.
-    """
-    family = ProjectionFamily(halfspaces)
-    A, beta = family._A, family._beta
-    inv_norm = np.sqrt(family._inv_norm_sq)
-    x = as_point(x0, dim=family.dim, name="x0").copy()
-    active: list[int] = []
-    u = np.zeros(0)                        # multipliers of the active constraints
-    Q, R = _gram_schmidt(A[active])
-    budget = 10 * (family.n + family.dim)
-    p = None                               # the entering constraint
-    for steps in range(budget + 1):
-        if p is None:
-            viol = (A @ x - beta) * inv_norm
-            viol[active] = -np.inf
-            p = int(np.argmax(viol))
-            if viol[p] <= 1e-12 * (1.0 + np.sqrt(x @ x)):
-                break
-            u_p = 0.0
-        if steps == budget:
-            raise OracleError(
-                f"active-set oracle did not finish within its budget of {budget} steps"
-            )
-        r, w = _orthogonal_part(Q, A[p])
-        v = _back_substitute(R, r)         # active multipliers fall at rates v
-        independent = np.sqrt(w @ w) * inv_norm[p] > 1e-12
-        falling = v > 0.0
-        if not (independent or np.any(falling)):
-            raise OracleError(
-                f"halfspace {p} is violated on the span of the active halfspaces "
-                "with no positive dual direction: the intersection is empty"
-            )
-        # candidate step lengths: p holds with equality (entry 0, preferred on
-        # ties), or the multiplier of active constraint j reaches 0 (entry j+1)
-        t_add = max(float(A[p] @ x) - beta[p], 0.0) / (w @ w) if independent else np.inf
-        lengths = np.append(t_add, np.where(falling, u, np.inf) / np.where(falling, v, 1.0))
-        k = int(np.argmin(lengths))
-        t = lengths[k]
-        if independent:
-            x -= t * w
-        u = np.maximum(u - t * v, 0.0)
-        u_p += t
-        if k == 0:
-            active.append(p)
-            u = np.append(u, u_p)
-            p = None
-        else:
-            del active[k - 1]
-            u = np.delete(u, k - 1)
-        Q, R = _gram_schmidt(A[active])
-    residual = float(np.sqrt(np.sum((x - family.mean(x)) ** 2)))
-    if residual > 1e-8:
-        raise OracleError(
-            f"projection oracle residual {residual:.3e} exceeds 1e-8; "
-            "the intersection may be empty"
-        )
-    return OracleResult(x_star=x, residual_at_star=residual,
-                        method="active_set", iterations=steps)
-
-
-def oracle_quadratic(terms: Sequence[QuadraticTerm], x0) -> OracleResult:
-    """Minimizer of the averaged quadratic objective via dense normal equations.
-
-    The averaged objective has the unique minimizer solving
-    ``(sum_i A_i^T A_i) x = sum_i A_i^T b_i``; with full-column-rank terms
-    the fixed point set of the gradient-step family is that singleton, so
-    the projection of any anchor onto it is the minimizer itself.
-    """
-    if len(terms) == 0:
-        raise ValueError("need at least one term")
-    dim = terms[0].dim
-    as_point(x0, dim=dim, name="x0")
-    gram = np.zeros((dim, dim))
-    rhs = np.zeros(dim)
-    for t in terms:
-        gram += t.A.T @ t.A
-        rhs += t.A.T @ t.b
-    cond = float(np.linalg.cond(gram))
-    try:
-        x_star = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise OracleError(
-            "normal equations are singular; the fixed point set is not a "
-            "singleton - use the feasibility family instead"
-        ) from exc
-    rel_residual = float(np.linalg.norm(gram @ x_star - rhs)
-                         / max(np.linalg.norm(rhs), 1.0))
-    if rel_residual > 1e-10:
-        raise OracleError(
-            f"normal-equation relative residual {rel_residual:.3e} exceeds 1e-10 "
-            "(badly conditioned system); use the feasibility family instead"
-        )
-    return OracleResult(x_star=x_star, residual_at_star=rel_residual,
-                        method="normal_equations", condition=cond)
-
 
 def resolve_oracle(problem: Problem) -> OracleResult:
-    """Compute (and memoize on the problem) the oracle point for its family."""
+    """Ask the family for the point of Fix(T) nearest the anchor, memoized on
+    the problem.  Only a problem that opts in through ``oracle_info`` is
+    asked; the others raise ``ValueError``."""
     if problem._oracle_cache is not None:
         return problem._oracle_cache
-    info = problem.oracle_info
-    if info is None:
+    if problem.oracle_info is None:
         raise ValueError("problem carries no oracle data")
-    if info.kind == "halfspaces":
-        result = oracle_feasibility(info.data, problem.x0)
-    elif info.kind == "quadratic":
-        result = oracle_quadratic(info.data, problem.x0)
-    else:
-        raise ValueError(f"unknown oracle kind {info.kind!r}")
+    result = problem.family.nearest_fixed_point(problem.x0)
     object.__setattr__(problem, "_oracle_cache", result)  # Problem is frozen
     return result
 

@@ -26,6 +26,11 @@ The projection family has no such form; its means cost ``O(n d)`` per point.
 The lambda-averaging combinator blends any family with the identity,
 which preserves the fixed point set and shrinks the componentwise spread
 by a factor ``(1 - lambda)``, the factor it scales its base's weight rows by.
+
+Each family answers ``nearest_fixed_point`` from the arrays it holds, by a
+route independent of the solvers: a dual active-set projection onto the
+halfspaces, the normal equations of the quadratic terms, and the base's
+answer for a blend.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MappingFamily, as_point
+from .core import MappingFamily, OracleError, OracleResult, as_point
 
 __all__ = [
     "NonexpansivityError",
@@ -92,6 +97,37 @@ def project_halfspace(h: Halfspace, x) -> np.ndarray:
     return xa - (viol / float(a @ a)) * a
 
 
+def _gram_schmidt(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal ``Q`` and upper triangular ``R`` with ``normals.T == Q @ R``.
+
+    Classical Gram-Schmidt applied twice per column, which keeps ``Q``
+    orthonormal to rounding for the at most ``d`` normals of an active set.
+    """
+    q, dim = normals.shape
+    Q, R = np.zeros((dim, q)), np.zeros((q, q))
+    for k, a in enumerate(normals):
+        R[:k, k], w = _orthogonal_part(Q[:, :k], a)
+        R[k, k] = np.sqrt(w @ w)
+        Q[:, k] = w / R[k, k]
+    return Q, R
+
+
+def _orthogonal_part(Q: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``r`` and ``w`` with ``a = Q r + w`` and ``w`` orthogonal to ``Q``'s columns."""
+    r = Q.T @ a
+    w = a - Q @ r
+    c = Q.T @ w
+    return r + c, w - Q @ c
+
+
+def _back_substitute(R: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Solve ``R v = r`` for upper triangular ``R``."""
+    v = np.zeros_like(r)
+    for i in range(r.size - 1, -1, -1):
+        v[i] = (r[i] - R[i, i + 1:] @ v[i + 1:]) / R[i, i]
+    return v
+
+
 class ProjectionFamily(MappingFamily):
     """Family whose component ``i`` projects onto halfspace ``i``.
 
@@ -131,6 +167,82 @@ class ProjectionFamily(MappingFamily):
         coef = (np.maximum((A @ X[:, :, None])[..., 0] - self._beta[idx], 0.0)
                 * self._inv_norm_sq[idx])
         return X - (coef[:, None, :] @ A)[:, 0] / idx.shape[1]
+
+    def nearest_fixed_point(self, x0) -> OracleResult:
+        """Project ``x0`` onto the intersection by a dual active-set method.
+
+        Goldfarb-Idnani with identity Hessian: from ``x = x0`` it enters the
+        most violated constraint (violation scaled by ``||a_i||``) and moves
+        along the part of its normal orthogonal to the active normals, until
+        that constraint holds with equality (it joins the active set) or an
+        active multiplier reaches zero (that constraint leaves).  The dual
+        objective never decreases, so the method ends after finitely many
+        steps at the exact nearest point, once no constraint is violated
+        beyond a relative 1e-12; ``iterations`` counts the entries and exits.
+        A step costs one ``A @ x`` plus Gram-Schmidt work on at most ``d``
+        active normals; no ``(n, n)`` matrix is formed.
+
+        Raises :class:`OracleError` at the step that proves the intersection
+        empty (the entering normal lies in the span of the active normals with
+        no positive dual direction, a Farkas certificate), when the budget of
+        ``10 * (n + d)`` steps runs out, or when the residual under the mean
+        exceeds 1e-8.
+        """
+        A, beta = self._A, self._beta
+        inv_norm = np.sqrt(self._inv_norm_sq)
+        x = as_point(x0, dim=self.dim, name="x0").copy()
+        active: list[int] = []
+        u = np.zeros(0)                        # multipliers of the active constraints
+        Q, R = _gram_schmidt(A[active])
+        budget = 10 * (self.n + self.dim)
+        p = None                               # the entering constraint
+        for steps in range(budget + 1):
+            if p is None:
+                viol = (A @ x - beta) * inv_norm
+                viol[active] = -np.inf
+                p = int(np.argmax(viol))
+                if viol[p] <= 1e-12 * (1.0 + np.sqrt(x @ x)):
+                    break
+                u_p = 0.0
+            if steps == budget:
+                raise OracleError(
+                    f"active-set oracle did not finish within its budget of {budget} steps"
+                )
+            r, w = _orthogonal_part(Q, A[p])
+            v = _back_substitute(R, r)         # active multipliers fall at rates v
+            independent = np.sqrt(w @ w) * inv_norm[p] > 1e-12
+            falling = v > 0.0
+            if not (independent or np.any(falling)):
+                raise OracleError(
+                    f"halfspace {p} is violated on the span of the active halfspaces "
+                    "with no positive dual direction: the intersection is empty"
+                )
+            # candidate step lengths: p holds with equality (entry 0, preferred on
+            # ties), or the multiplier of active constraint j reaches 0 (entry j+1)
+            t_add = max(float(A[p] @ x) - beta[p], 0.0) / (w @ w) if independent else np.inf
+            lengths = np.append(t_add, np.where(falling, u, np.inf) / np.where(falling, v, 1.0))
+            k = int(np.argmin(lengths))
+            t = lengths[k]
+            if independent:
+                x -= t * w
+            u = np.maximum(u - t * v, 0.0)
+            u_p += t
+            if k == 0:
+                active.append(p)
+                u = np.append(u, u_p)
+                p = None
+            else:
+                del active[k - 1]
+                u = np.delete(u, k - 1)
+            Q, R = _gram_schmidt(A[active])
+        residual = float(np.sqrt(np.sum((x - self.mean(x)) ** 2)))
+        if residual > 1e-8:
+            raise OracleError(
+                f"projection oracle residual {residual:.3e} exceeds 1e-8; "
+                "the intersection may be empty"
+            )
+        return OracleResult(x_star=x, residual_at_star=residual,
+                            method="active_set", iterations=steps)
 
 
 @dataclass(frozen=True)
@@ -188,6 +300,7 @@ class GradientFamily(MappingFamily):
                 raise ValueError("terms have mixed dimensions")
         super().__init__(dim=dim, n=len(terms))
         grams = np.stack([t.A.T @ t.A for t in terms])
+        rhs = np.stack([t.A.T @ t.b for t in terms])
         self.l_max = float(np.linalg.eigvalsh(grams)[:, -1].max())
         if eta == "auto":
             if self.l_max <= 0.0:
@@ -205,10 +318,13 @@ class GradientFamily(MappingFamily):
         # stacked eta * A_i^T A_i and eta * A_i^T b_i, so each component is
         # T_i(x) = x - G_i x + h_i, and their means for the exact mean
         self._G = self.eta * grams
-        self._h = self.eta * np.stack([t.A.T @ t.b for t in terms])
+        self._h = self.eta * rhs
         self._G_flat = self._G.reshape(self.n, dim * dim)
         self._G_bar = self._G.mean(axis=0)
         self._h_bar = self._h.mean(axis=0)
+        # the oracle's normal equations, unscaled: eta-scaled sums would move
+        # x* in the last bits
+        self._normal_equations = grams.sum(axis=0), rhs.sum(axis=0)
 
     def eval_all(self, x: np.ndarray) -> np.ndarray:
         return x[None, :] - np.einsum("nij,j->ni", self._G, x) + self._h
@@ -236,15 +352,40 @@ class GradientFamily(MappingFamily):
         counts = np.bincount(flat, minlength=trials * self.n).reshape(trials, self.n)
         return self.weighted_mean(X, counts / b)
 
+    def nearest_fixed_point(self, x0) -> OracleResult:
+        """Minimizer of the averaged objective by dense normal equations:
+        with full-column-rank terms Fix(T) is that singleton, so it is the
+        projection of any anchor."""
+        as_point(x0, dim=self.dim, name="x0")
+        gram, rhs = self._normal_equations
+        cond = float(np.linalg.cond(gram))
+        try:
+            x_star = np.linalg.solve(gram, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise OracleError(
+                "normal equations are singular; the fixed point set is not a "
+                "singleton - use the feasibility family instead"
+            ) from exc
+        rel_residual = float(np.linalg.norm(gram @ x_star - rhs)
+                             / max(np.linalg.norm(rhs), 1.0))
+        if rel_residual > 1e-10:
+            raise OracleError(
+                f"normal-equation relative residual {rel_residual:.3e} exceeds 1e-10 "
+                "(badly conditioned system); use the feasibility family instead"
+            )
+        return OracleResult(x_star=x_star, residual_at_star=rel_residual,
+                            method="normal_equations", condition=cond)
+
 
 class AveragedFamily(MappingFamily):
     """Blend of a base family with the identity: ``T_i^lam = lam*Id + (1-lam)*T_i``.
 
-    Shares the base family's fixed points and scales its componentwise
-    variance by ``(1 - lam)^2``; ``stoch_halpern_lambda`` steps on it.  Its
-    weighted means and ``_affine`` pairs are the base's on the rows
-    ``(1 - lam) * W``, the identity taking the rest; only an index draw,
-    which has no weight row, blends the base's sampled mean.
+    Shares the base family's fixed points, and so its oracle answer, and
+    scales its componentwise variance by ``(1 - lam)^2``;
+    ``stoch_halpern_lambda`` steps on it.  Its weighted means and
+    ``_affine`` pairs are the base's on the rows ``(1 - lam) * W``, the
+    identity taking the rest; only an index draw, which has no weight row,
+    blends the base's sampled mean.
     """
 
     def __init__(self, base: MappingFamily, lam: float):
@@ -269,3 +410,6 @@ class AveragedFamily(MappingFamily):
 
     def sampled_mean(self, X: np.ndarray, idx: np.ndarray) -> np.ndarray:
         return self.lam * X + (1.0 - self.lam) * self.base.sampled_mean(X, idx)
+
+    def nearest_fixed_point(self, x0) -> OracleResult:
+        return self.base.nearest_fixed_point(x0)

@@ -305,16 +305,18 @@ def batch_inv_sum_bound(batch: BatchSchedule) -> float | None:
     """Closed-form ``B`` for ``sum_k 1/b_k`` over the unfloored, uncapped sizes.
 
     For ``exponential`` it is the infinite sum of ``1/(b0*delta^k)``; for
-    ``polynomial`` with ``c > 1`` it bounds the sum of ``1/(a0*k+b0)^c``
-    when ``min(a0, b0) >= 1``.  ``None`` for constant batches (the sum
-    diverges) and for polynomial batches with ``c <= 1``.  Flooring makes
-    each emitted ``b_k`` smaller, and a cap stops its growth, so the sum
-    over the emitted sizes may exceed ``B``; the validator reports that.
+    ``polynomial`` with ``c > 1`` it bounds the sum of ``1/(a0*k+b0)^c`` by
+    ``m^(-c) * c/(c-1)`` with ``m = min(a0, b0)``, since
+    ``a0*k + b0 >= m*(k+1)`` and ``zeta(c) <= c/(c-1)``.  ``None`` for
+    constant batches (the sum diverges) and for polynomial batches with
+    ``c <= 1``.  Flooring makes each emitted ``b_k`` smaller, and a cap
+    stops its growth, so the sum over the emitted sizes may exceed ``B``;
+    the validator reports that.
     """
     if batch.kind == "exponential":
         return batch.delta / ((batch.delta - 1.0) * batch.b0)
     if batch.kind == "polynomial" and batch.c > 1.0:
-        return (2.0 * batch.c - 1.0) / ((batch.c - 1.0) * min(batch.a0, batch.b0))
+        return min(batch.a0, batch.b0) ** -batch.c * batch.c / (batch.c - 1.0)
     return None
 
 
@@ -324,15 +326,15 @@ def batch_inv_sqrt_sum_bound(batch: BatchSchedule) -> float | None:
     Obtained by applying the 1/b_k bound pattern at exponent 1/2: the
     exponential case is the exact geometric limit
     ``sqrt(delta) / ((sqrt(delta) - 1) * sqrt(b0))``; the polynomial case
-    requires ``c > 2``.  ``None`` when neither applies.  Like
-    :func:`batch_inv_sum_bound`, it does not bound the sum over floored or
-    capped sizes.
+    requires ``c > 2`` and gives ``m^(-c/2) * c/(c-2)``.  ``None`` when
+    neither applies.  Like :func:`batch_inv_sum_bound`, it does not bound
+    the sum over floored or capped sizes.
     """
     if batch.kind == "exponential":
         r = math.sqrt(batch.delta)
         return r / ((r - 1.0) * math.sqrt(batch.b0))
     if batch.kind == "polynomial" and batch.c > 2.0:
-        return 2.0 * (batch.c - 1.0) / ((batch.c - 2.0) * min(batch.a0, batch.b0))
+        return min(batch.a0, batch.b0) ** (-batch.c / 2.0) * batch.c / (batch.c - 2.0)
     return None
 
 

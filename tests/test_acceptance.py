@@ -16,7 +16,7 @@ import pytest
 from stochfp import (AveragedFamily, BatchSchedule, Halfspace, StepSchedule,
                      apply_mini_batch, default_probes, estimate_sigma_sq,
                      averaged_rate_bound, fit_rate,
-                     oracle_feasibility, oracle_quadratic, project_halfspace,
+                     ProjectionFamily, project_halfspace,
                      random_halfspace_problem, resolve_oracle, sample_batch,
                      theorem_constants, validate)
 from stochfp import cli
@@ -147,14 +147,14 @@ def test_criterion_03_oracle_agreement(quad_problem):
     ]
     agree = True
     for halfspaces, x0 in instances:
-        res = oracle_feasibility(halfspaces, x0)
+        res = ProjectionFamily(halfspaces).nearest_fixed_point(x0)
         g = grid_project(halfspaces, x0)
         if np.linalg.norm(res.x_star - g) > 1e-3:
             agree = False
     _check(3, "active-set projection oracle agrees with brute-force grid to 1e-3 "
               "on 3 hand-built instances", agree)
 
-    res = oracle_quadratic(quad_problem.oracle_info.data, quad_problem.x0)
+    res = quad_problem.family.nearest_fixed_point(quad_problem.x0)
     _check(3, f"normal-equation relative residual {res.residual_at_star:.2e} <= 1e-10",
            res.residual_at_star <= 1e-10)
 

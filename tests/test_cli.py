@@ -293,12 +293,12 @@ def test_validate_exit_0_and_prints_bound(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "  B:  0.0625" in out.splitlines()
     assert "satisfied" in out
-    # polynomial batch (k+1)^3: B = (2c-1)/((c-1)*min(a0, b0)), through main
+    # polynomial batch (k+1)^3: B = min(a0, b0)^(-c) * c/(c-1), through main
     text = VALIDATE_OK.format(prefix=tmp_path / "v").replace(
         "kind = exponential\nb0 = 32\ndelta = 2.0", "kind = polynomial\na0 = 1\nb0 = 1\nc = 3")
     assert cli.main(["validate", _write(tmp_path, text)]) == 0
     out = capsys.readouterr().out
-    assert "  B:  2.5" in out.splitlines()
+    assert "  B:  1.5" in out.splitlines()
     assert "conditions for stoch_halpern: satisfied" in out
 
 

@@ -4,11 +4,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from stochfp import (BatchSchedule, EnsembleStats, Halfspace, OracleError,
+from stochfp import (AveragedFamily, BatchSchedule, EnsembleStats,
+                     GradientFamily, Halfspace, OracleError, OracleInfo,
                      Problem, QuadraticTerm, SolverConfig, StepSchedule,
                      ProjectionFamily, ensemble, estimate_sigma_sq, fit_rate,
-                     oracle_feasibility,
-                     oracle_quadratic, predicted_rate_exponent, resolve_oracle,
+                     predicted_rate_exponent, resolve_oracle,
                      run, sample_ball, theorem_constants, two_halfspace_problem)
 from stochfp import (CallableFamily, random_halfspace_problem,
                      random_quadratic_problem)
@@ -24,33 +24,33 @@ def _hs(*rows):
 
 def test_oracle_feasibility_componentwise_clamp():
     halfspaces = _hs((1, 0, 0), (0, 1, 0))
-    res = oracle_feasibility(halfspaces, [1.0, 1.0])
+    res = ProjectionFamily(halfspaces).nearest_fixed_point([1.0, 1.0])
     np.testing.assert_allclose(res.x_star, [0.0, 0.0], atol=1e-9)
     assert res.residual_at_star <= 1e-8
 
 
 def test_oracle_feasibility_cone_instance():
     halfspaces = _hs((1, 1, 0), (1, -1, 0))
-    res = oracle_feasibility(halfspaces, [1.0, 0.0])
+    res = ProjectionFamily(halfspaces).nearest_fixed_point([1.0, 0.0])
     np.testing.assert_allclose(res.x_star, [0.0, 0.0], atol=1e-9)
 
 
 def test_oracle_feasibility_identity_on_feasible_anchor():
     halfspaces = _hs((1, 0, 0), (0, 1, 0))
-    res = oracle_feasibility(halfspaces, [-0.5, -2.0])
+    res = ProjectionFamily(halfspaces).nearest_fixed_point([-0.5, -2.0])
     np.testing.assert_allclose(res.x_star, [-0.5, -2.0], atol=1e-12)
 
 
 def test_oracle_feasibility_empty_intersection():
     halfspaces = _hs((1, 0, -1), (-1, 0, -1))  # x1 <= -1 and x1 >= 1
     with pytest.raises(OracleError, match="empty"):
-        oracle_feasibility(halfspaces, [0.0, 0.0])
+        ProjectionFamily(halfspaces).nearest_fixed_point([0.0, 0.0])
 
 
 @pytest.mark.parametrize("n", [10, 1000, 2000])
 def test_oracle_feasibility_satisfies_kkt(n):
     problem = random_halfspace_problem(n, 20, 7)
-    res = oracle_feasibility(problem.oracle_info.data, problem.x0)
+    res = problem.family.nearest_fixed_point(problem.x0)
     A = np.stack([h.normal for h in problem.oracle_info.data])
     beta = np.array([h.offset for h in problem.oracle_info.data])
     slack = A @ res.x_star - beta
@@ -71,12 +71,12 @@ def test_oracle_feasibility_reports_empty_intersection_at_scale():
                                                     Halfspace(-e1, -1.0)]
     # the Farkas certificate, not the residual check that follows the steps
     with pytest.raises(OracleError, match="the intersection is empty"):
-        oracle_feasibility(halfspaces, problem.x0)
+        ProjectionFamily(halfspaces).nearest_fixed_point(problem.x0)
 
 
 def test_oracle_agrees_with_grid_on_slanted_instance():
     halfspaces = _hs((1, 0, 0), (1, 1, 1))
-    res = oracle_feasibility(halfspaces, [2.0, 3.0])
+    res = ProjectionFamily(halfspaces).nearest_fixed_point([2.0, 3.0])
     np.testing.assert_allclose(res.x_star, [0.0, 1.0], atol=1e-9)
     g = grid_project(halfspaces, [2.0, 3.0])
     assert np.linalg.norm(res.x_star - g) <= 1e-3
@@ -91,7 +91,7 @@ def test_oracle_cache_cannot_go_stale():
         problem.x0 = np.array([-1.0, -3.0])
     np.testing.assert_array_equal(
         resolve_oracle(problem).x_star,
-        oracle_feasibility(problem.oracle_info.data, problem.x0).x_star)
+        problem.family.nearest_fixed_point(problem.x0).x_star)
     # the caller's array is copied, and a replaced problem starts uncached
     anchor = np.array([1.0, 0.0])
     copy = Problem(family=problem.family, x0=anchor, oracle_info=problem.oracle_info)
@@ -103,7 +103,7 @@ def test_oracle_cache_cannot_go_stale():
 
 def test_oracle_quadratic_exact_fit():
     terms = [QuadraticTerm(A=np.eye(2), b=np.array([3.0, 4.0]))]
-    res = oracle_quadratic(terms, [0.0, 0.0])
+    res = GradientFamily(terms).nearest_fixed_point([0.0, 0.0])
     np.testing.assert_allclose(res.x_star, [3.0, 4.0], atol=1e-12)
     assert res.method == "normal_equations"
 
@@ -111,7 +111,7 @@ def test_oracle_quadratic_exact_fit():
 def test_oracle_quadratic_two_identity_terms():
     terms = [QuadraticTerm(A=np.eye(2), b=np.array([1.0, 0.0])),
              QuadraticTerm(A=np.eye(2), b=np.array([0.0, 1.0]))]
-    res = oracle_quadratic(terms, [5.0, 5.0])
+    res = GradientFamily(terms).nearest_fixed_point([5.0, 5.0])
     np.testing.assert_allclose(res.x_star, [0.5, 0.5], atol=1e-14)
 
 
@@ -119,15 +119,33 @@ def test_oracle_quadratic_zero_targets():
     rng = np.random.default_rng(8)
     terms = [QuadraticTerm(A=rng.standard_normal((3, 3)), b=np.zeros(3))
              for _ in range(4)]
-    res = oracle_quadratic(terms, [1.0, 1.0, 1.0])
+    res = GradientFamily(terms).nearest_fixed_point([1.0, 1.0, 1.0])
     np.testing.assert_allclose(res.x_star, np.zeros(3), atol=1e-12)
 
 
 def test_oracle_quadratic_singular_system():
-    # QuadraticTerm rejects a rank-deficient A, so the oracle gets a stand-in
+    # QuadraticTerm rejects a rank-deficient A, so the family gets a stand-in
     t = SimpleNamespace(A=np.array([[1.0, 0.0], [2.0, 0.0]]), b=np.zeros(2), dim=2)
     with pytest.raises(OracleError, match="feasibility family"):
-        oracle_quadratic([t], [1.0, 1.0])
+        GradientFamily([t]).nearest_fixed_point([1.0, 1.0])
+
+
+@pytest.mark.parametrize("base", [two_halfspace_problem().family,
+                                  random_quadratic_problem(50, 10, 3).family],
+                         ids=["projection", "gradient"])
+def test_blend_answers_with_its_base_oracle(base):
+    x0 = np.ones(base.dim)
+    blended = AveragedFamily(base, 0.6).nearest_fixed_point(x0)
+    own = base.nearest_fixed_point(x0)
+    np.testing.assert_array_equal(blended.x_star, own.x_star)
+    assert replace(blended, x_star=None) == replace(own, x_star=None)
+
+
+def test_family_without_oracle_refuses_the_query():
+    family = CallableFamily([lambda x: 0.5 * x], dim=2)
+    problem = Problem(family=family, x0=np.ones(2), oracle_info=OracleInfo(()))
+    with pytest.raises(OracleError, match="CallableFamily has no oracle"):
+        resolve_oracle(problem)
 
 
 def test_deterministic_halpern_lands_near_oracle():

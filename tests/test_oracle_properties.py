@@ -6,7 +6,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from stochfp import Halfspace, oracle_feasibility  # noqa: E402
+from stochfp import Halfspace, ProjectionFamily  # noqa: E402
 
 
 @st.composite
@@ -26,7 +26,7 @@ def instances(draw):
 def test_nearest_point_is_feasible_and_satisfies_variational_inequality(inst):
     normals, offsets, x0, rng = inst
     halfspaces = [Halfspace(a, b) for a, b in zip(normals, offsets)]
-    x_star = oracle_feasibility(halfspaces, x0).x_star
+    x_star = ProjectionFamily(halfspaces).nearest_fixed_point(x0).x_star
     assert np.max(normals @ x_star - offsets) <= 1e-10
     # feasible samples: shrink points of a box towards the feasible origin
     ys = rng.uniform(-5.0, 5.0, (64, x0.size))

@@ -195,6 +195,19 @@ def test_polynomial_batch_bounds(horizon):
     assert batch_inv_sum_bound(b) is not None and batch_inv_sqrt_sum_bound(b) is not None
 
 
+@pytest.mark.parametrize("c", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("m", [0.1, 0.5, 1.0, 2.0])
+def test_polynomial_closed_forms_bound_unfloored_sums(m, c):
+    # a0 = b0 = m is the tightest case of a0*k + b0 >= m*(k+1)
+    b = BatchSchedule.polynomial(m, m, c)
+    raw = (m * np.arange(10**6) + m) ** c
+    assert np.sum(1.0 / raw) <= batch_inv_sum_bound(b)
+    if c > 2.0:
+        assert np.sum(1.0 / np.sqrt(raw)) <= batch_inv_sqrt_sum_bound(b)
+    else:
+        assert batch_inv_sqrt_sum_bound(b) is None
+
+
 def test_constant_batch_root_sum_grows_linearly():
     step = StepSchedule.poly(0.5)
     b = BatchSchedule.constant(9)
