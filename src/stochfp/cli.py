@@ -5,7 +5,8 @@ the README), builds the problem and the schedules (each by its class's
 ``KINDS`` table), runs a seeded Monte-Carlo ensemble, and writes a trace
 CSV plus a human-readable summary.  The summary's ``constants:`` and
 ``schedule validation:`` sections come from one function; ``validate``
-prints them alone, without running trials.
+prints them alone, without running trials.  Every schedule sum and
+closed-form bound (``B`` too) comes from one ``validate`` report.
 
 Exit codes: 0 success, 1 config error, 2 oracle failure, 3 diverged run
 (the master seed and failing trial are reported), 4 failed ``validate``.
@@ -295,35 +296,28 @@ def _write_csv(path: str, stats) -> None:
         fh.writelines(_CSV_ROW % row for row in zip(*(c.tolist() for c in columns)))
 
 
-def _convergence_lines(s: SolverConfig, sigma_sq, constants) -> tuple[list[str], list[str]]:
+def _convergence_lines(method: str, constants, report) -> tuple[list[str], list[str]]:
     """The ``constants:`` and ``schedule validation:`` sections, which the
     summary writes and ``validate`` prints, and the method's unmet
     conditions (empty when they are satisfied)."""
-    report = validate(s.step, s.batch, s.iterations)
-    unmet = [reason for holds, reason in _CONDITIONS[s.method] if not holds(report)]
-    if constants.B is not None:
-        big_b = _fmt(constants.B)
-    elif s.batch is None:
-        big_b = "undefined (no batch schedule)"
-    else:
-        big_b = f"undefined ({s.batch.kind} batch: sum 1/b_k diverges)"
+    unmet = [reason for holds, reason in _CONDITIONS[method] if not holds(report)]
     out = ["constants:",
-           f"  sigma_sq_hat: {_fmt(sigma_sq)}",
+           f"  sigma_sq_hat: {_fmt(constants.sigma_sq)}",
            f"  M:  {_fmt(constants.M)}",
            f"  M1: {_fmt(constants.M1)}",
            f"  M3: {_fmt(constants.M3)}",
-           f"  B:  {big_b}",
            "",
            "schedule validation:"]
     out.extend("  " + line for line in report.lines())
-    out.append(f"  conditions for {s.method}: {'NOT satisfied' if unmet else 'satisfied'}")
+    out.append(f"  conditions for {method}: {'NOT satisfied' if unmet else 'satisfied'}")
     out.extend(f"    - {r}" for r in unmet)
     return out, unmet
 
 
-def _summary_lines(cfg: ExperimentConfig, oracle, sigma_sq, constants,
+def _summary_lines(cfg: ExperimentConfig, oracle, constants,
                    stats, slope_text: str) -> list[str]:
     s = cfg.solver
+    report = validate(s.step, s.batch, s.iterations)
     out = []
     out.append(f"problem: {cfg.problem.name} "
                f"(n={cfg.problem.family.n}, d={cfg.problem.family.dim}, "
@@ -345,7 +339,7 @@ def _summary_lines(cfg: ExperimentConfig, oracle, sigma_sq, constants,
         out.append(f"  condition: {_fmt(oracle.condition)}")
     out.append(f"  f0_star: {_fmt(stats.f0_star)}")
     out.append("")
-    out.extend(_convergence_lines(s, sigma_sq, constants)[0])
+    out.extend(_convergence_lines(s.method, constants, report)[0])
     out.append("")
     out.append("rate fit:")
     out.append(f"  window: [{cfg.fit_window[0]}, {cfg.fit_window[1]}]")
@@ -355,7 +349,7 @@ def _summary_lines(cfg: ExperimentConfig, oracle, sigma_sq, constants,
     if (s.method == "stoch_halpern_lambda" and s.batch is not None
             and stats.x_star is not None):
         dist0 = float(np.sum((cfg.problem.x0 - oracle.x_star) ** 2))
-        rhs = averaged_rate_bound(constants, s.step, s.batch, s.iterations, dist0)
+        rhs = averaged_rate_bound(constants, report, dist0)
         out.append(f"  rate bound rhs at horizon: {_fmt(rhs)}")
     out.append("")
     out.append("final recorded iterate:")
@@ -367,11 +361,10 @@ def _summary_lines(cfg: ExperimentConfig, oracle, sigma_sq, constants,
 
 
 def _constants(cfg: ExperimentConfig, oracle):
-    """Probe the family around the oracle point; returns ``(sigma_sq, constants)``."""
+    """Bound constants, with ``sigma_sq`` probed around the oracle point."""
     probes = default_probes(cfg.problem, oracle, seed=cfg.solver.seed)
-    sigma_sq = estimate_sigma_sq(cfg.problem.family, probes)
-    return sigma_sq, theorem_constants(cfg.problem, oracle, sigma_sq,
-                                       batch=cfg.solver.batch)
+    return theorem_constants(cfg.problem, oracle,
+                             estimate_sigma_sq(cfg.problem.family, probes))
 
 
 #: the documented exit code and stderr label of each refusal
@@ -414,7 +407,7 @@ def run_experiment(config_path: str, trials: int | None = None,
 
     oracle = resolve_oracle(cfg.problem)
     stats = ensemble(cfg.problem, cfg.solver, cfg.trials)
-    sigma_sq, constants = _constants(cfg, oracle)
+    constants = _constants(cfg, oracle)
 
     try:
         slope = fit_rate(stats, cfg.fit_window)
@@ -428,7 +421,7 @@ def run_experiment(config_path: str, trials: int | None = None,
     trace_path = cfg.prefix + "_trace.csv"
     summary_path = cfg.prefix + "_summary.txt"
     _write_csv(trace_path, stats)
-    lines = _summary_lines(cfg, oracle, sigma_sq, constants, stats, slope_text)
+    lines = _summary_lines(cfg, oracle, constants, stats, slope_text)
     with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"wrote {trace_path} and {summary_path}", file=stream)
@@ -441,8 +434,9 @@ def validate_only(config_path: str, stream=None) -> int:
     sections without running trials; exit 4 when a condition is unmet."""
     stream = stream if stream is not None else sys.stdout
     cfg = parse_config(config_path)
-    sigma_sq, constants = _constants(cfg, resolve_oracle(cfg.problem))
-    lines, unmet = _convergence_lines(cfg.solver, sigma_sq, constants)
+    s = cfg.solver
+    lines, unmet = _convergence_lines(s.method, _constants(cfg, resolve_oracle(cfg.problem)),
+                                      validate(s.step, s.batch, s.iterations))
     print("\n".join(lines), file=stream)
     return 4 if unmet else 0
 

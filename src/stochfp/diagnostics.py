@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EnsembleStats, OracleResult, Problem, as_point, f0_value
-from .schedules import BatchSchedule, StepSchedule, batch_inv_sum_bound
+from .schedules import StepSchedule, ValidationReport
 from .solvers import SolverConfig, _run_trials
 
 __all__ = [
@@ -99,22 +99,21 @@ class TheoremConstants:
     and every bound that reuses that quantity reads it from ``M``;
     ``M1`` bounds expected mapped-value norms;
     ``M3 = 4*(M + sigma_sq + ||grad f0(x_star)||^2)`` enters the rate bound
-    of the identity-blended variant; ``B`` is :func:`batch_inv_sum_bound`,
-    the closed form of ``sum 1/b_k`` over the unfloored, uncapped sizes,
-    which the sum over the emitted sizes may exceed (None without a batch
-    schedule and for the kinds whose sum diverges).
+    of the identity-blended variant.  The schedule sums and the closed-form
+    ``B >= sum 1/b_k`` are not constants of the problem: they live in the
+    :class:`~stochfp.schedules.ValidationReport` of the schedules.
     """
 
     sigma_sq: float
     M: float
     M1: float
     M3: float
-    B: float | None
 
 
-def theorem_constants(problem: Problem, oracle: OracleResult, sigma_sq: float,
-                      batch: BatchSchedule | None = None) -> TheoremConstants:
-    """Evaluate the bound constants for one problem/oracle/batch combination."""
+def theorem_constants(problem: Problem, oracle: OracleResult,
+                      sigma_sq: float) -> TheoremConstants:
+    """Evaluate the bound constants for one problem, its oracle point and
+    a variance bound ``sigma_sq``."""
     x0 = problem.x0
     x_star = oracle.x_star
     dist_sq = float(np.sum((x0 - x_star) ** 2))
@@ -124,26 +123,21 @@ def theorem_constants(problem: Problem, oracle: OracleResult, sigma_sq: float,
     )
     grad_sq = dist_sq  # grad f0(x_star) = x_star - x0
     m3 = 4.0 * (m + sigma_sq + grad_sq)
-    b = batch_inv_sum_bound(batch) if batch is not None else None
-    return TheoremConstants(sigma_sq=sigma_sq, M=m, M1=m1, M3=m3, B=b)
+    return TheoremConstants(sigma_sq=sigma_sq, M=m, M1=m1, M3=m3)
 
 
-def averaged_rate_bound(constants: TheoremConstants, step: StepSchedule,
-                        batch: BatchSchedule, horizon: int,
+def averaged_rate_bound(constants: TheoremConstants, report: ValidationReport,
                         dist0_sq: float) -> float:
     """Right-hand side of the rate bound for the identity-blended iteration.
 
     ``(dist0_sq + M3 * sum alpha_k^2 + sigma_sq * sum 1/b_k) / (2 * sum alpha_k)``
-    with the sums taken over the actually emitted schedule values below the
-    horizon.
+    with the sums of ``report`` (:func:`~stochfp.schedules.validate`), taken
+    over the emitted schedule values below its horizon; the report needs a
+    batch schedule.
     """
-    alphas = step.values(horizon)
-    bs = batch.values_float(horizon)
-    return float(
-        (dist0_sq + constants.M3 * np.sum(alphas**2)
-         + constants.sigma_sq * np.sum(1.0 / bs))
-        / (2.0 * np.sum(alphas))
-    )
+    return ((dist0_sq + constants.M3 * report.sum_alpha_sq
+             + constants.sigma_sq * report.sum_inv_b)
+            / (2.0 * report.sum_alpha))
 
 
 def _mean_se(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -213,8 +213,7 @@ def test_criterion_07_rate_bound(quad_lambda_stats, quad_problem):
     oracle = resolve_oracle(quad_problem)
     probes = default_probes(quad_problem, oracle, seed=1)
     sigma_sq = estimate_sigma_sq(quad_problem.family, probes)
-    constants = theorem_constants(quad_problem, oracle, sigma_sq,
-                                  batch=conftest.QUAD_BATCH)
+    constants = theorem_constants(quad_problem, oracle, sigma_sq)
     step = StepSchedule.lambda_poly(0.5, 0.75)
     dist0 = float(np.sum((quad_problem.x0 - oracle.x_star) ** 2))
     ok = True
@@ -222,8 +221,8 @@ def test_criterion_07_rate_bound(quad_lambda_stats, quad_problem):
         gaps = stats.f0gap_mean[:horizon]  # recorded every k: k in [0, horizon)
         i_min = int(np.argmin(gaps))
         lhs = float(gaps[i_min])
-        rhs = averaged_rate_bound(constants, step, conftest.QUAD_BATCH,
-                                  horizon, dist0) + 3.0 * float(stats.f0gap_se[i_min])
+        rhs = averaged_rate_bound(constants, validate(step, conftest.QUAD_BATCH, horizon),
+                                  dist0) + 3.0 * float(stats.f0gap_se[i_min])
         print(f"    K={horizon}: min_k mean f0 gap {lhs:.4f} <= bound {rhs:.4f}")
         if lhs > rhs:
             ok = False

@@ -58,7 +58,9 @@ def test_minimal_deterministic_run(tmp_path):
         assert float(cols[1]) == StepSchedule.poly(1.0).at(int(cols[0]))
     summary = (tmp_path / "out" / "mini_summary.txt").read_text()
     assert "oracle" in summary and "x_star" in summary
-    assert "  B:  undefined (no batch schedule)" in summary.splitlines()
+    # B is printed once, in a stochastic report's closed-form B line only
+    assert not any(line.startswith("  B:") for line in summary.splitlines())
+    assert "closed-form B" not in summary
     assert "constant batch" not in summary
 
 
@@ -291,15 +293,27 @@ def test_validate_exit_0_and_prints_bound(tmp_path, capsys):
     cfg = _write(tmp_path, VALIDATE_OK.format(prefix=tmp_path / "v"))
     assert cli.validate_only(cfg) == 0
     out = capsys.readouterr().out
-    assert "  B:  0.0625" in out.splitlines()
+    assert "  closed-form B = 0.0625 (sum 1/b_k <= B)" in out.splitlines()
     assert "satisfied" in out
     # polynomial batch (k+1)^3: B = min(a0, b0)^(-c) * c/(c-1), through main
     text = VALIDATE_OK.format(prefix=tmp_path / "v").replace(
         "kind = exponential\nb0 = 32\ndelta = 2.0", "kind = polynomial\na0 = 1\nb0 = 1\nc = 3")
     assert cli.main(["validate", _write(tmp_path, text)]) == 0
     out = capsys.readouterr().out
-    assert "  B:  1.5" in out.splitlines()
+    assert "  closed-form B = 1.5 (sum 1/b_k <= B)" in out.splitlines()
     assert "conditions for stoch_halpern: satisfied" in out
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.stem)
+def test_validate_prints_B_once(path, capsys):
+    # B has no line of its own in constants:; the report's closed-form B
+    # line, printed at most once, is its one print
+    code = cli.validate_only(str(path))
+    out = capsys.readouterr().out.splitlines()
+    assert not any(line.startswith("  B:") for line in out)
+    assert sum("closed-form B =" in line for line in out) <= 1
+    assert (code == 4) == any("NOT satisfied" in line for line in out)
+    assert code in (0, 4)
 
 
 @pytest.mark.parametrize("template", [MINIMAL, VALIDATE_OK], ids=["halpern", "stoch_halpern"])
@@ -314,6 +328,9 @@ def test_validate_prints_the_summary_sections(tmp_path, capsys, template):
     assert out == summary[summary.index("constants:"):summary.index("rate fit:") - 1]
 
 
+SUMMABLE_NEITHER = "  1/sqrt(b_k) summable (by kind, ignoring cap): False; 1/b_k summable: False"
+
+
 def test_validate_exit_4_constant_batch(tmp_path, capsys):
     ok = VALIDATE_OK.format(prefix=tmp_path / "v")
     cfg = _write(tmp_path, ok.replace("kind = exponential\nb0 = 32\ndelta = 2.0",
@@ -321,13 +338,12 @@ def test_validate_exit_4_constant_batch(tmp_path, capsys):
     assert cli.validate_only(cfg) == 4
     out = capsys.readouterr().out
     assert "NOT satisfied" in out and "sum 1/sqrt(b_k) must be finite" in out
-    assert "  B:  undefined (constant batch: sum 1/b_k diverges)" in out.splitlines()
-    # a polynomial batch with c <= 1 has no B either, and names its own kind
+    assert SUMMABLE_NEITHER in out.splitlines()
+    # a polynomial batch with c <= 1 has no B either
     cfg = _write(tmp_path, ok.replace("kind = exponential\nb0 = 32\ndelta = 2.0",
                                       "kind = polynomial\na0 = 1\nb0 = 4\nc = 1"))
     assert cli.validate_only(cfg) == 4
-    assert ("  B:  undefined (polynomial batch: sum 1/b_k diverges)"
-            in capsys.readouterr().out.splitlines())
+    assert SUMMABLE_NEITHER in capsys.readouterr().out.splitlines()
     # an averaged method on constant(1), the one step schedule whose
     # sum alpha_k(1-alpha_k) converges, is a config error for both commands
     text = ok.replace("name = stoch_halpern\n\n[step]\nkind = poly\na = 0.5",

@@ -10,11 +10,13 @@ from stochfp import (AveragedFamily, BatchSchedule, EnsembleStats,
                      ProjectionFamily, ensemble, estimate_sigma_sq, fit_rate,
                      predicted_rate_exponent, resolve_oracle,
                      run, sample_ball, theorem_constants, two_halfspace_problem)
+from stochfp import averaged_rate_bound, default_probes, validate
 from stochfp import (CallableFamily, random_halfspace_problem,
                      random_quadratic_problem)
 from stochfp.sampling import BatchStream
 from stochfp.solvers import _run_trials
 from grid_oracle import grid_project
+import conftest
 
 
 def _hs(*rows):
@@ -189,16 +191,24 @@ def test_theorem_constants_trivial_cases():
     assert c2.M3 == pytest.approx(4 * (2.5 + 0.5 + 2.0))
 
 
-def test_theorem_constants_batch_bound():
-    problem = Problem(family=CallableFamily([lambda x: x], dim=1),
-                      x0=np.zeros(1))
-    from stochfp import OracleResult
-    oracle = OracleResult(x_star=np.zeros(1), residual_at_star=0.0, method="active_set")
-    c = theorem_constants(problem, oracle, 0.0,
-                          batch=BatchSchedule.exponential(32, 2.0))
-    assert c.B == pytest.approx(0.0625, abs=0.0)
-    c2 = theorem_constants(problem, oracle, 0.0, batch=BatchSchedule.constant(4))
-    assert c2.B is None
+@pytest.mark.parametrize("batch", [conftest.QUAD_BATCH,
+                                   BatchSchedule.exponential(8, 1.05, cap=4096)],
+                         ids=["quad_batch", "shipped_lambda_batch"])
+@pytest.mark.parametrize("horizon", [100, 400, 1000, 10_000])
+def test_rate_bound_reads_the_validation_report(quad_problem, batch, horizon):
+    # the report's sums are the same reductions as summing the emitted
+    # schedule values directly, so the bound agrees bit for bit
+    oracle = resolve_oracle(quad_problem)
+    sigma_sq = estimate_sigma_sq(quad_problem.family,
+                                 default_probes(quad_problem, oracle, seed=1))
+    c = theorem_constants(quad_problem, oracle, sigma_sq)
+    step = StepSchedule.lambda_poly(0.5, 0.75)
+    d0 = float(np.sum((quad_problem.x0 - oracle.x_star) ** 2))
+    alphas = step.values(horizon)
+    inv_b = 1.0 / batch.values_float(horizon)
+    direct = ((d0 + c.M3 * np.sum(alphas**2) + c.sigma_sq * np.sum(inv_b))
+              / (2.0 * np.sum(alphas)))
+    assert averaged_rate_bound(c, validate(step, batch, horizon), d0) == direct
 
 
 def _synthetic_stats(gaps, ks):
@@ -323,7 +333,6 @@ def test_ensemble_requires_two_trials(twohalf_problem):
 def test_batch_image_dist_bounded(bench_exp_stats, twohalf_problem):
     # expected squared distance of the sampled image to the limit point stays
     # below M + sigma_sq + 3 SE at every recorded k (final row is NaN)
-    from stochfp import default_probes
     oracle = resolve_oracle(twohalf_problem)
     probes = default_probes(twohalf_problem, oracle, seed=1)
     sigma_sq = estimate_sigma_sq(twohalf_problem.family, probes)
