@@ -11,17 +11,28 @@ reproduce the same draw bit for bit.
 
 The mini-batches of ``T`` trials at iteration ``k`` are one draw on
 ``iteration_rng(seed, k)``, chosen by one rule.  For ``b < n`` it is
-``integers(0, n, size=(T, b))``: row ``t`` holds trial ``t``'s ``b``
-zero-based indices, so an iteration costs ``O(T*b)``.  Otherwise it is
+``T*b`` zero-based indices, row ``t`` holding trial ``t``'s ``b``, so an
+iteration costs ``O(T*b)``.  Each raw 64-bit word of the generator gives
+its low and then its high 32 bits ``u``; with ``m = u*n`` the index is
+``m >> 32``, accepted iff ``m mod 2**32 >= (2**32 - n) mod n``, and the
+first ``T*b`` accepted ones are the draw (Lemire, "Fast random integer
+generation in an interval", ACM TOMACS 2019).  NumPy's
+``integers(0, n, size=(T, b))`` runs the same rule for ``n <= 2**32``, the
+domain the stream admits, and draws the same indices on NumPy 2.4.6, but
+the stream no longer depends on it.  Otherwise (``b >= n``) it is
 ``multinomial(b, [1/n] * n, size=T)``: row ``t`` is trial ``t``'s
 multiplicity vector, identical in law to counting ``b`` uniform index
 draws (Davis, CSDA 1993).  Either way row ``t`` is the same for every
 ``T > t``.  The solvers' :class:`BatchStream` and :func:`sample_batch`
-(which expands row 0) share this one rule, :func:`_draw`.
+(which expands row 0) share this one rule, :func:`_draw`;
+:meth:`BatchStream.draw_block` maps the index draws of a block of
+iterations in one pass.
 """
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,12 +57,53 @@ def iteration_rng(seed: int, k: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=(0, k, 0, 0)))
 
 
-def _draw(gen: np.random.Generator, b: int, trials: int, pvals: np.ndarray) -> np.ndarray:
-    """The draw rule: ``(trials, b)`` indices for ``b < n = pvals.size``,
-    else ``(trials, n)`` counts under the uniform ``pvals``."""
-    if b < pvals.size:
-        return gen.integers(0, pvals.size, size=(trials, b))
-    return gen.multinomial(b, pvals, size=trials)
+#: largest ``n`` of the 32-bit index rule; NumPy's ``integers`` switches to a
+#: 64-bit rule above it
+_MAX_N = 2**32
+_LOW = 0xFFFFFFFF
+
+
+def _check_n(n: int) -> int:
+    """``n`` as a Python int, refused above ``2**32``, the domain of the index rule."""
+    n = operator.index(n)
+    if n > _MAX_N:
+        raise ValueError("n must be at most 2**32, the domain of the 32-bit index rule, "
+                         f"got n = {n}")
+    return n
+
+
+def _lemire(words: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lemire's rule on the 32-bit halves of ``words``, low half first.
+
+    Returns the candidate indices ``m >> 32`` of ``m = u*n`` and whether each
+    is accepted, ``m mod 2**32 >= (2**32 - n) mod n``.  The halves are taken
+    arithmetically, so the order does not depend on the byte order.
+    """
+    m = np.empty(2 * words.size, np.uint64)
+    m[0::2] = words & _LOW
+    m[1::2] = words >> 32
+    m *= n
+    return (m >> 32).view(np.int64), (m & _LOW) >= (_MAX_N - n) % n
+
+
+def _indices(bitgen, n: int, count: int) -> np.ndarray:
+    """The first ``count`` accepted :func:`_lemire` indices on the words ``bitgen`` draws next."""
+    values, ok = _lemire(bitgen.random_raw(-(-count // 2)), n)
+    values = values[ok]
+    while values.size < count:
+        more, ok = _lemire(bitgen.random_raw(-(-(count - values.size) // 2)), n)
+        values = np.concatenate((values, more[ok]))
+    return values[:count]
+
+
+def _draw(gen: np.random.Generator, n: int, b: int, trials: int,
+          pvals: np.ndarray | None = None) -> np.ndarray:
+    """The draw rule on a generator at a fresh counter: ``(trials, b)``
+    indices for ``b < n``, else ``(trials, n)`` counts under the uniform
+    ``pvals``, which only this case needs (built here when not given)."""
+    if b < n:
+        return _indices(gen.bit_generator, n, trials * b).reshape(trials, b)
+    return gen.multinomial(b, np.full(n, 1.0 / n) if pvals is None else pvals, size=trials)
 
 
 class BatchStream:
@@ -59,24 +111,64 @@ class BatchStream:
 
     :meth:`draw` resets the counter to ``(0, k, 0, 0)`` and empties the output
     buffer, so it returns the draw of a fresh ``iteration_rng(seed, k)`` bit
-    for bit, whatever iterations were drawn before.
+    for bit, whatever iterations were drawn before.  ``n`` above ``2**32`` is
+    refused.
     """
 
     def __init__(self, seed: int, n: int):
+        self._n = _check_n(n)
         self._gen = iteration_rng(seed, 0)
+        self._bitgen = self._gen.bit_generator
         # a fresh generator's state: empty output buffer, counter (0, 0, 0, 0),
         # in Python-int words, which the state setter reads faster than arrays
-        self._state = self._gen.bit_generator.state
+        self._state = self._bitgen.state
         self._state["state"] = {k: v.tolist() for k, v in self._state["state"].items()}
         self._state["buffer"] = self._state["buffer"].tolist()
-        self._pvals = np.full(n, 1.0 / n)
+        self._pvals = None  # the uniform probabilities, built at the first count draw
+
+    def _seek(self, k: int) -> None:
+        self._state["state"]["counter"][1] = k
+        self._bitgen.state = self._state
 
     def draw(self, k: int, b: int, trials: int) -> np.ndarray:
         """Iteration ``k``'s batches, row ``t`` for trial ``t`` (:func:`_draw`):
         ``(trials, b)`` zero-based indices for ``b < n``, else ``(trials, n)`` counts."""
-        self._state["state"]["counter"][1] = k
-        self._gen.bit_generator.state = self._state
-        return _draw(self._gen, b, trials, self._pvals)
+        self._seek(k)
+        if b >= self._n and self._pvals is None:
+            self._pvals = np.full(self._n, 1.0 / self._n)
+        return _draw(self._gen, self._n, b, trials, self._pvals)
+
+    def draw_block(self, k0: int, sizes: list[int], trials: int) -> list[np.ndarray]:
+        """The draws of iterations ``k0, k0 + 1, ...`` at batch sizes ``sizes``.
+
+        Equal bit for bit to ``[self.draw(k0 + j, b, trials) for j, b in
+        enumerate(sizes)]``.  Each index draw takes its ``ceil(trials*b/2)``
+        words at its own counter, and the words of all of them are mapped in
+        one :func:`_lemire` pass; an iteration with a rejected value among
+        its first ``trials*b`` draws again through :meth:`draw`.
+        """
+        draws = [None] * len(sizes)
+        index, words = [], []
+        for j, b in enumerate(sizes):
+            if b < self._n:
+                self._seek(k0 + j)
+                words.append(self._bitgen.random_raw(-(-trials * b // 2)))
+                index.append(j)
+            else:
+                draws[j] = self.draw(k0 + j, b, trials)
+        if words:
+            values, ok = _lemire(np.concatenate(words), self._n)
+            rejected = np.flatnonzero(~ok).tolist()
+            start = 0
+            for j, w in zip(index, words):
+                end = start + trials * sizes[j]
+                i = bisect_left(rejected, start)
+                if i < len(rejected) and rejected[i] < end:
+                    draws[j] = self.draw(k0 + j, sizes[j], trials)
+                else:
+                    draws[j] = values[start:end].reshape(trials, sizes[j])
+                start += 2 * w.size
+        return draws
 
 
 @dataclass(frozen=True)
@@ -115,15 +207,18 @@ def sample_batch(seed: int, k: int, n: int, b: int) -> BatchDraw:
     otherwise its counts expanded to index-ascending indices.  So
     ``counts()`` returns exactly the counts that trial 0 of a solver run on
     master seed ``seed`` uses at iteration ``k``.  Distinct iterations or
-    distinct seeds give independent draws.
+    distinct seeds give independent draws.  ``n`` must lie in
+    ``[1, 2**32]``; the uniform probability vector is built only for
+    ``b >= n``.
     """
     if n < 1 or b < 1:
         raise ValueError("n and b must be >= 1")
+    n = _check_n(n)
     if not _is_index(seed, 2**128):
         raise ValueError(f"seed must be an integer in [0, 2**128), got {seed!r}")
     if not _is_index(k, 2**64):
         raise ValueError(f"iteration k must be an integer in [0, 2**64), got {k!r}")
-    row = _draw(iteration_rng(seed, k), b, 1, np.full(n, 1.0 / n))[0]
+    row = _draw(iteration_rng(seed, k), n, b, 1)[0]
     indices = row + 1 if b < n else np.repeat(np.arange(1, n + 1), row)
     return BatchDraw(indices=indices, n=n)
 

@@ -180,12 +180,15 @@ def _iterate(problem: Problem, cfg: SolverConfig, trials: int,
     ``cfg.seed``.  The iterations run in blocks of ``B``, each in three
     phases:
 
-    1. *Draw.*  The block's ``B`` draws on the stream.  Count draws
-       (``b_k >= n``) go into a ``(B, T, n)`` weight buffer that one divide
-       turns into the probability rows ``counts / b_k``, which an affine
-       family contracts in one :meth:`MappingFamily._affine` call into the
-       block's ``(B, T, d, d)`` ``G`` and ``(B, T, d)`` ``h``; index draws
-       (``b_k < n``) are kept as they are.
+    1. *Draw.*  The block's ``B`` draws on the stream, by
+       :meth:`BatchStream.draw_block`: each index draw (``b_k < n``) takes
+       its raw words at counter ``(0, k, 0, 0)``, the block's words are
+       mapped to indices by Lemire's multiply-shift rule in one vectorised
+       pass, and an iteration with a rejected value redraws on its own.
+       Count draws (``b_k >= n``) go into a ``(B, T, n)`` weight buffer that one divide turns into the
+       probability rows ``counts / b_k``, which an affine family contracts
+       in one :meth:`MappingFamily._affine` call into the block's
+       ``(B, T, d, d)`` ``G`` and ``(B, T, d)`` ``h``.
     2. *Step.*  Per iteration one sampled mean: ``x - G[j] x + h[j]`` for a
        count step of an affine family, :meth:`MappingFamily.weighted_mean`
        on its ``(T, n)`` weight rows for one of any other family,
@@ -259,13 +262,11 @@ def _iterate(problem: Problem, cfg: SolverConfig, trials: int,
 
         # draw
         if stochastic:
-            draws = [None] * m
-            for j, b in enumerate(size_list):
-                if b < n:
-                    draws[j] = stream.draw(k0 + j, b, trials)
-                else:
-                    W[j] = stream.draw(k0 + j, b, trials)
+            draws = stream.draw_block(k0, size_list, trials)
             if dense:
+                for j, b in enumerate(size_list):
+                    if b >= n:
+                        W[j] = draws[j]
                 W[:m] /= sizes[k0:k0 + m, None, None]
                 G, h = family._affine(W[:m]) or (None, None)
 

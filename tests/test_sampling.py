@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,6 +122,65 @@ def test_sample_batch_is_the_solver_draw():
         else:
             np.testing.assert_array_equal(draw.counts(), row)
             assert np.all(np.diff(draw.indices) >= 0)
+
+
+@pytest.mark.parametrize("n", [2**31 + 11, 3 * 10**9, 2**32])
+def test_index_draw_near_the_32_bit_limit_is_numpys_integers_draw(n):
+    # (2**32 - n) mod n is about n/2 at 2**31 + 11 and 0.43 n at 3e9, so many
+    # values are rejected and the redraw loop runs; at 2**32 every 32-bit half
+    # is an index.  No n-length vector is built for these index draws.
+    stream = BatchStream(5, n)
+    for k in (0, 3, 2**40):
+        for trials in (1, 3):
+            for b in (1, 5, 64, 1001):
+                np.testing.assert_array_equal(stream.draw(k, b, trials),
+                                              iteration_rng(5, k).integers(0, n, (trials, b)))
+        np.testing.assert_array_equal(sample_batch(5, k, n, 64).indices,
+                                      iteration_rng(5, k).integers(0, n, (1, 64))[0] + 1)
+
+
+@pytest.mark.parametrize("n", [2000, 2**31 + 11, 50])
+@pytest.mark.parametrize("trials", [1, 2, 3])
+def test_block_draw_equals_per_iteration_draws(n, trials):
+    # a ramping block of index draws, which at 2**31 + 11 mostly redraw; there
+    # k0 = 320 (T = 1) and 576 (T = 3) each hold an iteration whose one rejected
+    # value is the unused half of an odd T*b, which keeps its slice.  At n = 50
+    # the block crosses from b < n to b >= n and back.
+    sizes = [5, 5, 6, 7, 64, 1] if n > 64 else [3, 20, 49, 50, 64, 256, 7]
+    stream = BatchStream(7, n)
+    for k0 in (0, 64, 320, 576, 2**40):
+        block = stream.draw_block(k0, sizes, trials)
+        assert len(block) == len(sizes)
+        for j, (rows, b) in enumerate(zip(block, sizes)):
+            np.testing.assert_array_equal(rows, _fresh_draw(7, k0 + j, n, b, trials))
+
+
+def test_index_draw_builds_no_n_length_vector():
+    # 4 indices out of 10**7 components: the draw allocates O(b), not O(n)
+    tracemalloc.start()
+    try:
+        draw = sample_batch(0, 0, 10**7, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    np.testing.assert_array_equal(draw.indices, iteration_rng(0, 0).integers(0, 10**7, (1, 4))[0] + 1)
+
+
+def test_numpy_integer_sizes_draw_as_python_ints():
+    # the index rule multiplies uint64 words by n, which a NumPy int64 n must not upset
+    for n, b in ((2000, 5), (4, 5)):
+        np.testing.assert_array_equal(sample_batch(0, 3, np.int64(n), np.int64(b)).indices,
+                                      sample_batch(0, 3, n, b).indices)
+    np.testing.assert_array_equal(BatchStream(1, np.int64(2000)).draw(4, 3, 2),
+                                  BatchStream(1, 2000).draw(4, 3, 2))
+
+
+@pytest.mark.parametrize("make", [lambda n: sample_batch(0, 0, n, 4), lambda n: BatchStream(0, n)])
+def test_n_beyond_the_32_bit_index_rule_is_refused(make):
+    # NumPy maps words by a 64-bit rule above 2**32, which the stream does not define
+    with pytest.raises(ValueError, match=f"n = {2**32 + 1}"):
+        make(2**32 + 1)
 
 
 @pytest.mark.parametrize("seed, k, field", [(1.5, 0, "seed"), (1, -1, "iteration"),
