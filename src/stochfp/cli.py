@@ -53,7 +53,6 @@ class ExperimentConfig:
     trials: int
     prefix: str
     fit_window: tuple[int, int]
-    source: str
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +251,7 @@ def parse_config(path: str) -> ExperimentConfig:
         hit = rsec._find(exc.field) or msec._find(exc.field) or msec._find("name")
         raise ConfigError(f"{path}:{hit[0]}: {exc}") from exc
     return ExperimentConfig(problem=problem, solver=solver, trials=trials,
-                            prefix=prefix, fit_window=(fit_lo, fit_hi),
-                            source=path)
+                            prefix=prefix, fit_window=(fit_lo, fit_hi))
 
 
 # ---------------------------------------------------------------------------

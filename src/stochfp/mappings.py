@@ -354,9 +354,15 @@ class GradientFamily(MappingFamily):
 
     def nearest_fixed_point(self, x0) -> OracleResult:
         """Minimizer of the averaged objective by dense normal equations:
-        with full-column-rank terms Fix(T) is that singleton, so it is the
-        projection of any anchor."""
+        with full-column-rank terms and ``eta > 0`` Fix(T) is that singleton,
+        so it is the projection of any anchor.  At ``eta = 0`` every point is
+        fixed and the minimizer is not the anchor's projection, so the query
+        is refused."""
         as_point(x0, dim=self.dim, name="x0")
+        if self.eta == 0.0:
+            raise OracleError(
+                "eta = 0 makes every component the identity, so every point is "
+                "fixed and the normal-equation minimizer is not the nearest one")
         gram, rhs = self._normal_equations
         cond = float(np.linalg.cond(gram))
         try:

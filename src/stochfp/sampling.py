@@ -23,10 +23,9 @@ the stream no longer depends on it.  Otherwise (``b >= n``) it is
 ``multinomial(b, [1/n] * n, size=T)``: row ``t`` is trial ``t``'s
 multiplicity vector, identical in law to counting ``b`` uniform index
 draws (Davis, CSDA 1993).  Either way row ``t`` is the same for every
-``T > t``.  The solvers' :class:`BatchStream` and :func:`sample_batch`
-(which expands row 0) share this one rule, :func:`_draw`;
-:meth:`BatchStream.draw_block` maps the index draws of a block of
-iterations in one pass.
+``T > t``.  :meth:`BatchStream.draw` is the one implementation of this
+rule, for a block of iterations at a time; the solvers call it, and
+:func:`sample_batch` expands row 0 of its one-iteration draw.
 """
 
 from __future__ import annotations
@@ -64,10 +63,10 @@ _LOW = 0xFFFFFFFF
 
 
 def _check_n(n: int) -> int:
-    """``n`` as a Python int, refused above ``2**32``, the domain of the index rule."""
+    """``n`` as a Python int, refused outside ``[1, 2**32]``, the domain of the index rule."""
     n = operator.index(n)
-    if n > _MAX_N:
-        raise ValueError("n must be at most 2**32, the domain of the 32-bit index rule, "
+    if not 1 <= n <= _MAX_N:
+        raise ValueError("n must lie in [1, 2**32], the domain of the 32-bit index rule, "
                          f"got n = {n}")
     return n
 
@@ -96,23 +95,13 @@ def _indices(bitgen, n: int, count: int) -> np.ndarray:
     return values[:count]
 
 
-def _draw(gen: np.random.Generator, n: int, b: int, trials: int,
-          pvals: np.ndarray | None = None) -> np.ndarray:
-    """The draw rule on a generator at a fresh counter: ``(trials, b)``
-    indices for ``b < n``, else ``(trials, n)`` counts under the uniform
-    ``pvals``, which only this case needs (built here when not given)."""
-    if b < n:
-        return _indices(gen.bit_generator, n, trials * b).reshape(trials, b)
-    return gen.multinomial(b, np.full(n, 1.0 / n) if pvals is None else pvals, size=trials)
-
-
 class BatchStream:
     """The batch draws of every trial on the stream ``seed``, on one reusable generator.
 
     :meth:`draw` resets the counter to ``(0, k, 0, 0)`` and empties the output
-    buffer, so it returns the draw of a fresh ``iteration_rng(seed, k)`` bit
-    for bit, whatever iterations were drawn before.  ``n`` above ``2**32`` is
-    refused.
+    buffer for each iteration ``k``, so it returns the draws of fresh
+    ``iteration_rng(seed, k)`` bit for bit, whatever iterations were drawn
+    before.  ``n`` outside ``[1, 2**32]`` is refused.
     """
 
     def __init__(self, seed: int, n: int):
@@ -130,41 +119,39 @@ class BatchStream:
         self._state["state"]["counter"][1] = k
         self._bitgen.state = self._state
 
-    def draw(self, k: int, b: int, trials: int) -> np.ndarray:
-        """Iteration ``k``'s batches, row ``t`` for trial ``t`` (:func:`_draw`):
-        ``(trials, b)`` zero-based indices for ``b < n``, else ``(trials, n)`` counts."""
-        self._seek(k)
-        if b >= self._n and self._pvals is None:
-            self._pvals = np.full(self._n, 1.0 / self._n)
-        return _draw(self._gen, self._n, b, trials, self._pvals)
-
-    def draw_block(self, k0: int, sizes: list[int], trials: int) -> list[np.ndarray]:
+    def draw(self, k0: int, sizes: list[int], trials: int) -> list[np.ndarray]:
         """The draws of iterations ``k0, k0 + 1, ...`` at batch sizes ``sizes``.
 
-        Equal bit for bit to ``[self.draw(k0 + j, b, trials) for j, b in
-        enumerate(sizes)]``.  Each index draw takes its ``ceil(trials*b/2)``
-        words at its own counter, and the words of all of them are mapped in
-        one :func:`_lemire` pass; an iteration with a rejected value among
-        its first ``trials*b`` draws again through :meth:`draw`.
+        Entry ``j`` is iteration ``k0 + j``'s batches, row ``t`` for trial
+        ``t``: ``(trials, b)`` zero-based indices for ``b < n``, else
+        ``(trials, n)`` multinomial counts.  Each index draw takes its
+        ``ceil(trials*b/2)`` words at its own counter, and the words of all
+        of them are mapped in one :func:`_lemire` pass; an iteration with a
+        rejected value among its first ``trials*b`` draws again at its
+        counter through :func:`_indices`.
         """
+        n = self._n
         draws = [None] * len(sizes)
         index, words = [], []
         for j, b in enumerate(sizes):
-            if b < self._n:
-                self._seek(k0 + j)
+            self._seek(k0 + j)
+            if b < n:
                 words.append(self._bitgen.random_raw(-(-trials * b // 2)))
                 index.append(j)
             else:
-                draws[j] = self.draw(k0 + j, b, trials)
+                if self._pvals is None:
+                    self._pvals = np.full(n, 1.0 / n)
+                draws[j] = self._gen.multinomial(b, self._pvals, size=trials)
         if words:
-            values, ok = _lemire(np.concatenate(words), self._n)
+            values, ok = _lemire(np.concatenate(words), n)
             rejected = np.flatnonzero(~ok).tolist()
             start = 0
             for j, w in zip(index, words):
                 end = start + trials * sizes[j]
                 i = bisect_left(rejected, start)
                 if i < len(rejected) and rejected[i] < end:
-                    draws[j] = self.draw(k0 + j, sizes[j], trials)
+                    self._seek(k0 + j)
+                    draws[j] = _indices(self._bitgen, n, end - start).reshape(trials, sizes[j])
                 else:
                     draws[j] = values[start:end].reshape(trials, sizes[j])
                 start += 2 * w.size
@@ -202,23 +189,22 @@ class BatchDraw:
 def sample_batch(seed: int, k: int, n: int, b: int) -> BatchDraw:
     """Trial 0's draw at iteration ``k`` of stream ``seed``, as ``b`` indices on ``[1, n]``.
 
-    Row 0 of :func:`_draw` on ``iteration_rng(seed, k)``, as in
-    :meth:`BatchStream.draw`: for ``b < n`` its indices in drawn order,
-    otherwise its counts expanded to index-ascending indices.  So
-    ``counts()`` returns exactly the counts that trial 0 of a solver run on
-    master seed ``seed`` uses at iteration ``k``.  Distinct iterations or
-    distinct seeds give independent draws.  ``n`` must lie in
+    Row 0 of ``BatchStream(seed, n).draw(k, [b], 1)[0]``: for ``b < n`` its
+    indices in drawn order, otherwise its counts expanded to index-ascending
+    indices.  So ``counts()`` returns exactly the counts that trial 0 of a
+    solver run on master seed ``seed`` uses at iteration ``k``.  Distinct
+    iterations or distinct seeds give independent draws.  ``n`` must lie in
     ``[1, 2**32]``; the uniform probability vector is built only for
     ``b >= n``.
     """
-    if n < 1 or b < 1:
-        raise ValueError("n and b must be >= 1")
+    if b < 1:
+        raise ValueError("b must be >= 1")
     n = _check_n(n)
     if not _is_index(seed, 2**128):
         raise ValueError(f"seed must be an integer in [0, 2**128), got {seed!r}")
     if not _is_index(k, 2**64):
         raise ValueError(f"iteration k must be an integer in [0, 2**64), got {k!r}")
-    row = _draw(iteration_rng(seed, k), n, b, 1)[0]
+    row = BatchStream(seed, n).draw(k, [b], 1)[0][0]
     indices = row + 1 if b < n else np.repeat(np.arange(1, n + 1), row)
     return BatchDraw(indices=indices, n=n)
 

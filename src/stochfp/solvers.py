@@ -180,12 +180,9 @@ def _iterate(problem: Problem, cfg: SolverConfig, trials: int,
     ``cfg.seed``.  The iterations run in blocks of ``B``, each in three
     phases:
 
-    1. *Draw.*  The block's ``B`` draws on the stream, by
-       :meth:`BatchStream.draw_block`: each index draw (``b_k < n``) takes
-       its raw words at counter ``(0, k, 0, 0)``, the block's words are
-       mapped to indices by Lemire's multiply-shift rule in one vectorised
-       pass, and an iteration with a rejected value redraws on its own.
-       Count draws (``b_k >= n``) go into a ``(B, T, n)`` weight buffer that one divide turns into the
+    1. *Draw.*  The block's ``B`` draws on the stream, one
+       :meth:`BatchStream.draw` call.  Count draws (``b_k >= n``) go into a
+       ``(B, T, n)`` weight buffer that one divide turns into the
        probability rows ``counts / b_k``, which an affine family contracts
        in one :meth:`MappingFamily._affine` call into the block's
        ``(B, T, d, d)`` ``G`` and ``(B, T, d)`` ``h``.
@@ -262,7 +259,7 @@ def _iterate(problem: Problem, cfg: SolverConfig, trials: int,
 
         # draw
         if stochastic:
-            draws = stream.draw_block(k0, size_list, trials)
+            draws = stream.draw(k0, size_list, trials)
             if dense:
                 for j, b in enumerate(size_list):
                     if b >= n:

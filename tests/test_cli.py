@@ -247,6 +247,17 @@ def test_oracle_failure_exit_2(tmp_path, capsys):
         assert "oracle failure" in capsys.readouterr().err
 
 
+def test_zero_step_quadratic_exit_2(tmp_path, capsys):
+    # at eta = 0 every point is fixed, so the oracle has no single x* to certify
+    text = QUADRATIC.format(prefix=tmp_path / "q").replace("gen_seed = 3",
+                                                           "gen_seed = 3\neta = 0")
+    cfg = _write(tmp_path, text)
+    for command in (cli.run_experiment, cli.validate_only):
+        assert command(cfg) == 2
+        assert "eta = 0" in capsys.readouterr().err
+    assert not (tmp_path / "q_trace.csv").exists()
+
+
 def test_diverged_run_exit_3(tmp_path, capsys, monkeypatch):
     cfg = _write(tmp_path, MINIMAL.format(prefix=tmp_path / "x"))
 

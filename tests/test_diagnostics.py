@@ -132,6 +132,14 @@ def test_oracle_quadratic_singular_system():
         GradientFamily([t]).nearest_fixed_point([1.0, 1.0])
 
 
+def test_oracle_quadratic_refuses_a_zero_step():
+    # at eta = 0 every component is the identity, so the fixed point nearest
+    # x0 = 0 is x0 itself, not the normal-equation minimizer
+    problem = random_quadratic_problem(5, 3, 1, eta=0.0)
+    with pytest.raises(OracleError, match="eta = 0"):
+        resolve_oracle(problem)
+
+
 @pytest.mark.parametrize("base", [two_halfspace_problem().family,
                                   random_quadratic_problem(50, 10, 3).family],
                          ids=["projection", "gradient"])
@@ -314,7 +322,7 @@ def test_trial_draws_and_rows_do_not_depend_on_trial_count():
     stream = BatchStream(cfg.seed, 12)
     for k in (0, 1, 77, 149):
         b = cfg.batch.at(k)
-        np.testing.assert_array_equal(stream.draw(k, b, 3), stream.draw(k, b, 6)[:3])
+        np.testing.assert_array_equal(stream.draw(k, [b], 3)[0], stream.draw(k, [b], 6)[0][:3])
     a = _run_trials(problem, cfg, 3)
     b = _run_trials(problem, cfg, 6)
     for field in ("residuals", "f0_values", "dist_sq", "batch_dist_sq", "step_norms"):

@@ -70,7 +70,7 @@ def test_counter_reset_draws_what_a_fresh_generator_draws(n, b):
     streams = [BatchStream(seed, n) for seed in seeds]
     for k in (5, 0, 17, 5, 2**40, 1):
         for stream, seed in zip(streams, seeds):
-            np.testing.assert_array_equal(stream.draw(k, b, 3), _fresh_draw(seed, k, n, b, 3))
+            np.testing.assert_array_equal(stream.draw(k, [b], 3)[0], _fresh_draw(seed, k, n, b, 3))
 
 
 _trial_counts = st.integers(1, 7).flatmap(
@@ -79,30 +79,34 @@ _trial_counts = st.integers(1, 7).flatmap(
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**128 - 1),
-       ks=st.lists(st.integers(0, 2**40), min_size=1, max_size=6),
-       n=st.integers(1, 300), b=st.integers(1, 300) | st.integers(1, 10**6),
+       k0s=st.lists(st.integers(0, 2**40), min_size=1, max_size=6),
+       n=st.integers(1, 300),
+       sizes=st.lists(st.integers(1, 300) | st.integers(1, 10**6), min_size=1, max_size=6),
        trials=_trial_counts)
-def test_stream_draws_are_rows_of_a_fresh_generator_draw(seed, ks, n, b, trials):
-    # one stream object visits the iterations in any order; each draw is the
-    # size-T draw of a fresh iteration_rng(seed, k), bit for bit (integers
-    # for b < n, multinomial otherwise), and its first T rows do not depend
-    # on how many trials are drawn
+def test_stream_draws_are_rows_of_a_fresh_generator_draw(seed, k0s, n, sizes, trials):
+    # one stream object visits blocks in any order, their sizes mixing
+    # b < n and b >= n; entry j of a block is the size-T draw of a fresh
+    # iteration_rng(seed, k0 + j), bit for bit (integers for b < n,
+    # multinomial otherwise), and its first T rows do not depend on how many
+    # trials are drawn
     few, many = trials
     stream = BatchStream(seed, n)
-    for k in ks:
-        rows = stream.draw(k, b, few)
-        np.testing.assert_array_equal(rows, stream.draw(k, b, many)[:few])
-        np.testing.assert_array_equal(rows, _fresh_draw(seed, k, n, b, few))
-        if b < n:
-            assert rows.shape == (few, b) and rows.min() >= 0 and rows.max() < n
-        else:
-            assert rows.shape == (few, n) and np.all(rows.sum(axis=1) == b)
+    for k0 in k0s:
+        block, wide = stream.draw(k0, sizes, few), stream.draw(k0, sizes, many)
+        assert len(block) == len(wide) == len(sizes)
+        for j, (rows, b) in enumerate(zip(block, sizes)):
+            np.testing.assert_array_equal(rows, wide[j][:few])
+            np.testing.assert_array_equal(rows, _fresh_draw(seed, k0 + j, n, b, few))
+            if b < n:
+                assert rows.shape == (few, b) and rows.min() >= 0 and rows.max() < n
+            else:
+                assert rows.shape == (few, n) and np.all(rows.sum(axis=1) == b)
 
 
 @pytest.mark.parametrize("n, b", [(50, 3), (2000, 64), (5, 4), (5, 5), (2, 8)])
 def test_index_draw_is_a_fresh_integers_draw(n, b):
     # b < n draws b indices per trial; b >= n keeps the multinomial counts
-    rows = BatchStream(11, n).draw(4, b, 3)
+    rows = BatchStream(11, n).draw(4, [b], 3)[0]
     if b < n:
         np.testing.assert_array_equal(rows, iteration_rng(11, 4).integers(0, n, (3, b)))
     else:
@@ -115,7 +119,7 @@ def test_sample_batch_is_the_solver_draw():
     for seed, k, n, b in ((3, 0, 2, 8), (424242, 9, 5, 40), (7, 123, 50, 3),
                           (11, 4, 2000, 64)):
         draw = sample_batch(seed, k, n, b)
-        row = BatchStream(seed, n).draw(k, b, 3)[0]
+        row = BatchStream(seed, n).draw(k, [b], 3)[0][0]
         if b < n:
             np.testing.assert_array_equal(draw.indices, row + 1)
             np.testing.assert_array_equal(draw.counts(), np.bincount(row, minlength=n))
@@ -133,7 +137,7 @@ def test_index_draw_near_the_32_bit_limit_is_numpys_integers_draw(n):
     for k in (0, 3, 2**40):
         for trials in (1, 3):
             for b in (1, 5, 64, 1001):
-                np.testing.assert_array_equal(stream.draw(k, b, trials),
+                np.testing.assert_array_equal(stream.draw(k, [b], trials)[0],
                                               iteration_rng(5, k).integers(0, n, (trials, b)))
         np.testing.assert_array_equal(sample_batch(5, k, n, 64).indices,
                                       iteration_rng(5, k).integers(0, n, (1, 64))[0] + 1)
@@ -149,7 +153,7 @@ def test_block_draw_equals_per_iteration_draws(n, trials):
     sizes = [5, 5, 6, 7, 64, 1] if n > 64 else [3, 20, 49, 50, 64, 256, 7]
     stream = BatchStream(7, n)
     for k0 in (0, 64, 320, 576, 2**40):
-        block = stream.draw_block(k0, sizes, trials)
+        block = stream.draw(k0, sizes, trials)
         assert len(block) == len(sizes)
         for j, (rows, b) in enumerate(zip(block, sizes)):
             np.testing.assert_array_equal(rows, _fresh_draw(7, k0 + j, n, b, trials))
@@ -172,8 +176,8 @@ def test_numpy_integer_sizes_draw_as_python_ints():
     for n, b in ((2000, 5), (4, 5)):
         np.testing.assert_array_equal(sample_batch(0, 3, np.int64(n), np.int64(b)).indices,
                                       sample_batch(0, 3, n, b).indices)
-    np.testing.assert_array_equal(BatchStream(1, np.int64(2000)).draw(4, 3, 2),
-                                  BatchStream(1, 2000).draw(4, 3, 2))
+    np.testing.assert_array_equal(BatchStream(1, np.int64(2000)).draw(4, [3], 2)[0],
+                                  BatchStream(1, 2000).draw(4, [3], 2)[0])
 
 
 @pytest.mark.parametrize("make", [lambda n: sample_batch(0, 0, n, 4), lambda n: BatchStream(0, n)])
@@ -181,6 +185,12 @@ def test_n_beyond_the_32_bit_index_rule_is_refused(make):
     # NumPy maps words by a 64-bit rule above 2**32, which the stream does not define
     with pytest.raises(ValueError, match=f"n = {2**32 + 1}"):
         make(2**32 + 1)
+
+
+@pytest.mark.parametrize("make", [lambda n: sample_batch(0, 0, n, 4), lambda n: BatchStream(0, n)])
+def test_no_components_is_refused(make):
+    with pytest.raises(ValueError, match="n = 0"):
+        make(0)
 
 
 @pytest.mark.parametrize("seed, k, field", [(1.5, 0, "seed"), (1, -1, "iteration"),

@@ -359,7 +359,7 @@ def test_divergence_names_the_failing_trial():
 
     for master in range(100):
         stream = BatchStream(master, 2)
-        first, second = stream.draw(0, 1, 3).tolist(), stream.draw(1, 1, 3).tolist()
+        first, second = stream.draw(0, [1], 3)[0].tolist(), stream.draw(1, [1], 3)[0].tolist()
         if first[0] == [0] and first[1] == [1] and second[1] == [1]:
             break
     else:
@@ -383,7 +383,7 @@ def test_undrawn_overflowing_component_does_not_poison_the_trial():
     iterations = 5
     for master in range(1000):
         stream = BatchStream(master, 2)
-        if all(stream.draw(k, 1, 3)[0].tolist() == [0] for k in range(iterations)):
+        if all(stream.draw(k, [1], 3)[0][0].tolist() == [0] for k in range(iterations)):
             break
     else:
         pytest.fail("no master seed in range(1000) draws only component 1")
