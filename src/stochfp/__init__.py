@@ -9,7 +9,8 @@ certify their own limit point independently of the solvers.
 
 from .core import (CallableFamily, DimensionMismatchError, DivergenceError,
                    EnsembleStats, MappingFamily, OracleError, OracleInfo,
-                   OracleResult, Problem, RunRecord, as_point, f0_value)
+                   OracleResult, Problem, RunRecord, as_point, f0_value,
+                   resolve_oracle)
 from .mappings import (AveragedFamily, GradientFamily, Halfspace,
                        NonexpansivityError, ProjectionFamily, QuadraticTerm,
                        project_halfspace)
@@ -19,7 +20,7 @@ from .sampling import BatchDraw, apply_mini_batch, iteration_rng, sample_batch
 from .solvers import METHODS, STOCHASTIC_METHODS, SolverConfig, run
 from .diagnostics import (TheoremConstants, averaged_rate_bound, default_probes,
                           ensemble, estimate_sigma_sq, fit_rate,
-                          predicted_rate_exponent, resolve_oracle, sample_ball,
+                          predicted_rate_exponent, sample_ball,
                           theorem_constants)
 from .benchmarks import (random_halfspace_problem, random_quadratic_problem,
                          two_halfspace_problem)

@@ -14,6 +14,13 @@ __all__ = [
 ]
 
 
+def _halfspace_problem(halfspaces, x0, name: str) -> Problem:
+    """The projection family of ``halfspaces`` with its oracle opt-in."""
+    halfspaces = tuple(halfspaces)
+    return Problem(family=ProjectionFamily(halfspaces), x0=x0,
+                   oracle_info=OracleInfo(halfspaces), name=name)
+
+
 def two_halfspace_problem() -> Problem:
     """Canonical two-halfspace feasibility benchmark in the plane.
 
@@ -28,12 +35,7 @@ def two_halfspace_problem() -> Problem:
         Halfspace(normal=np.array([1.0, 0.0]), offset=0.0),
         Halfspace(normal=np.array([s, s]), offset=0.0),
     )
-    return Problem(
-        family=ProjectionFamily(halfspaces),
-        x0=np.array([1.0, 0.0]),
-        oracle_info=OracleInfo(halfspaces),
-        name="two_halfspace",
-    )
+    return _halfspace_problem(halfspaces, np.array([1.0, 0.0]), "two_halfspace")
 
 
 def random_halfspace_problem(n: int, dim: int, gen_seed: int,
@@ -50,13 +52,8 @@ def random_halfspace_problem(n: int, dim: int, gen_seed: int,
         a = rng.standard_normal(dim)
         a /= np.linalg.norm(a)
         halfspaces.append(Halfspace(normal=a, offset=float(rng.uniform(0.2, 1.0))))
-    halfspaces = tuple(halfspaces)
-    return Problem(
-        family=ProjectionFamily(halfspaces),
-        x0=np.full(dim, float(anchor_scale)),
-        oracle_info=OracleInfo(halfspaces),
-        name=f"halfspaces_n{n}_d{dim}",
-    )
+    return _halfspace_problem(halfspaces, np.full(dim, float(anchor_scale)),
+                              f"halfspaces_n{n}_d{dim}")
 
 
 def random_quadratic_problem(n: int, dim: int, gen_seed: int,

@@ -23,12 +23,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .benchmarks import random_halfspace_problem, random_quadratic_problem
-from .core import DivergenceError, OracleError, OracleInfo, Problem
+from .benchmarks import (_halfspace_problem, random_halfspace_problem,
+                         random_quadratic_problem)
+from .core import DivergenceError, OracleError, Problem, resolve_oracle
 from .diagnostics import (averaged_rate_bound, default_probes, ensemble,
                           estimate_sigma_sq, fit_rate, predicted_rate_exponent,
-                          resolve_oracle, theorem_constants)
-from .mappings import Halfspace, ProjectionFamily
+                          theorem_constants)
+from .mappings import Halfspace
 from .schedules import BatchSchedule, StepSchedule, validate
 from .solvers import FieldError, SolverConfig
 
@@ -177,11 +178,8 @@ def _build_problem(sec: _Section) -> Problem:
                     halfspaces.append(_halfspace(text))
                 except (TypeError, ValueError) as exc:
                     raise ConfigError(f"{sec.path}:{lineno}: bad halfspace: {exc}") from exc
-            x0 = sec.get("x0", _vector, required=True)
-            halfspaces = tuple(halfspaces)
-            problem = Problem(family=ProjectionFamily(halfspaces), x0=x0,
-                              oracle_info=OracleInfo(halfspaces),
-                              name="halfspaces")
+            problem = _halfspace_problem(halfspaces, sec.get("x0", _vector, required=True),
+                                         "halfspaces")
         elif kind == "random_halfspaces":
             problem = random_halfspace_problem(
                 sec.get("n", int, required=True), sec.get("dim", int, required=True),

@@ -4,9 +4,10 @@ Iterates live in R^d and are represented as plain 1-D float64 numpy arrays.
 A :class:`MappingFamily` bundles ``n`` component mappings ``T_1, ..., T_n``
 together with their exact mean ``T(x) = (1/n) sum_i T_i(x)``, which is the
 operator whose fixed points the solvers target, and answers the oracle query
-for the point of that set nearest an anchor.  All types in this module are
-immutable after construction and safe to share across threads; evaluation is
-pure.
+for the point of that set nearest an anchor.  :func:`resolve_oracle` asks
+that query once per :class:`Problem` and memoizes the answer on it.  All
+types in this module are immutable after construction and safe to share
+across threads; evaluation is pure.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "OracleInfo",
     "OracleResult",
     "Problem",
+    "resolve_oracle",
     "RunRecord",
     "EnsembleStats",
 ]
@@ -255,6 +257,19 @@ class Problem:
         x0 = as_point(self.x0, dim=self.family.dim, name="x0").copy()
         x0.flags.writeable = False
         object.__setattr__(self, "x0", x0)
+
+
+def resolve_oracle(problem: Problem) -> OracleResult:
+    """Ask the family for the point of Fix(T) nearest the anchor, memoized on
+    the problem.  Only a problem that opts in through ``oracle_info`` is
+    asked; the others raise ``ValueError``."""
+    if problem._oracle_cache is not None:
+        return problem._oracle_cache
+    if problem.oracle_info is None:
+        raise ValueError("problem carries no oracle data")
+    result = problem.family.nearest_fixed_point(problem.x0)
+    object.__setattr__(problem, "_oracle_cache", result)  # Problem is frozen
+    return result
 
 
 @dataclass

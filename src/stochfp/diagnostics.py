@@ -1,11 +1,9 @@
-"""Oracle resolution, Monte-Carlo ensembles, and convergence diagnostics.
+"""Monte-Carlo ensembles and convergence diagnostics.
 
-:func:`resolve_oracle` asks a problem's family for the limit point
-``x_star`` (the projection of the anchor onto the fixed point set), which
-each family computes by a route independent of the iterative solvers.
 Ensembles aggregate many seeded runs into per-iteration means and standard
 errors, from which the bound constants of the convergence analysis and
-empirical rate exponents are checked.
+empirical rate exponents are checked against the limit point ``x_star``
+that :func:`stochfp.core.resolve_oracle` certifies.
 """
 
 from __future__ import annotations
@@ -14,13 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EnsembleStats, OracleResult, Problem, as_point, f0_value
+from .core import EnsembleStats, OracleResult, Problem, as_point, f0_value, resolve_oracle
 from .schedules import StepSchedule, ValidationReport
 from .solvers import SolverConfig, _run_trials
 
 __all__ = [
     "TheoremConstants",
-    "resolve_oracle",
     "estimate_sigma_sq",
     "sample_ball",
     "default_probes",
@@ -30,19 +27,6 @@ __all__ = [
     "fit_rate",
     "predicted_rate_exponent",
 ]
-
-
-def resolve_oracle(problem: Problem) -> OracleResult:
-    """Ask the family for the point of Fix(T) nearest the anchor, memoized on
-    the problem.  Only a problem that opts in through ``oracle_info`` is
-    asked; the others raise ``ValueError``."""
-    if problem._oracle_cache is not None:
-        return problem._oracle_cache
-    if problem.oracle_info is None:
-        raise ValueError("problem carries no oracle data")
-    result = problem.family.nearest_fixed_point(problem.x0)
-    object.__setattr__(problem, "_oracle_cache", result)  # Problem is frozen
-    return result
 
 
 def estimate_sigma_sq(family, probe_points) -> float:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DivergenceError, Problem, RunRecord
+from .core import DivergenceError, Problem, RunRecord, resolve_oracle
 from .mappings import AveragedFamily
 from .sampling import BatchStream, _is_index
 from .schedules import BatchSchedule, StepSchedule, _lambda_step_cap
@@ -69,7 +69,8 @@ class FieldError(ValueError):
 class SolverConfig:
     """Complete description of one solver run.
 
-    ``batch`` is ignored by the deterministic methods.  Every step schedule
+    The stochastic methods need ``batch`` and the deterministic ones, which
+    step on the exact mean, refuse it.  Every step schedule
     emits ``alpha_k in (0, 1]``, the anchored range; the averaged rules
     (``km``, ``stoch_km``) also need ``alpha_k < 1``.  For
     ``stoch_halpern_lambda`` the blend weight must lie in (1/2, 3/4], the
@@ -114,6 +115,9 @@ class SolverConfig:
                              "or a scaled kind)")
         if self.method in STOCHASTIC_METHODS and self.batch is None:
             raise FieldError("batch", f"{self.method} requires a batch schedule")
+        if self.method not in STOCHASTIC_METHODS and self.batch is not None:
+            raise FieldError("batch", f"{self.method} steps on the exact mean and takes "
+                             "no batch schedule")
 
     @property
     def stochastic(self) -> bool:
@@ -163,19 +167,11 @@ def run(problem: Problem, cfg: SolverConfig) -> RunRecord:
 
 
 def _run_trials(problem: Problem, cfg: SolverConfig, trials: int) -> _Trace:
-    """Resolve the oracle point and run trials ``0..trials-1``."""
-    x_star = None
-    if problem.oracle_info is not None:
-        from .diagnostics import resolve_oracle  # deferred: diagnostics imports solvers
+    """Resolve the oracle point ``x*`` and run trials ``0..trials-1``.
 
-        x_star = resolve_oracle(problem).x_star
-    return _iterate(problem, cfg, trials, x_star=x_star)
-
-
-def _iterate(problem: Problem, cfg: SolverConfig, trials: int,
-             x_star: np.ndarray | None) -> _Trace:
-    """The iteration engine: all trials in one ``(T, d)`` state, ``k = 0..K``.
-
+    The iteration engine: all trials in one ``(T, d)`` state, ``k = 0..K``.
+    ``x*`` comes from :func:`~stochfp.core.resolve_oracle` when the problem
+    carries oracle data; without it the distance fields are None.
     Trial ``t`` takes row ``t`` of each iteration's batch draw on the stream
     ``cfg.seed``.  The iterations run in blocks of ``B``, each in three
     phases:
@@ -208,6 +204,7 @@ def _iterate(problem: Problem, cfg: SolverConfig, trials: int,
     problem's own mean ``T``.  ``cfg``'s ranges were checked when it was
     constructed.
     """
+    x_star = resolve_oracle(problem).x_star if problem.oracle_info is not None else None
     family = base = problem.family
     if cfg.lam is not None:
         family = AveragedFamily(base, cfg.lam)

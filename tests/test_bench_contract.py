@@ -4,7 +4,8 @@ and the entry points its child process hooks.
 ``perfbench/workloads.py`` builds its own reference for every job's oracle
 point from the package's problem constructors, and ``perfbench/child.py``
 runs ``stochfp.cli.main`` with ``stochfp.diagnostics.ensemble`` wrapped as
-the solve phase, so a change to what they expose breaks the benchmark
+the solve phase and, in a traced run, ``stochfp.diagnostics.resolve_oracle``
+as the oracle layer, so a change to what they expose breaks the benchmark
 before it times anything.  These tests only read ``perfbench/``; they never
 run a workload.
 """
@@ -23,7 +24,9 @@ sys.path.insert(0, str(REPO / "perfbench"))
 import child  # noqa: E402
 import workloads  # noqa: E402
 
+import stochfp  # noqa: E402
 import stochfp.cli  # noqa: E402
+import stochfp.core  # noqa: E402
 import stochfp.diagnostics  # noqa: E402
 
 
@@ -61,3 +64,10 @@ def test_ensemble_is_the_solve_phase_the_child_counts():
     cfg = SimpleNamespace(iterations=250)
     assert child._iterations((None, cfg, 7), {}) == 250 * 7
     assert child._iterations((), {"problem": None, "cfg": cfg, "trials": 7}) == 250 * 7
+
+
+def test_oracle_layer_hooks_the_one_resolve_oracle():
+    # the probe wraps the function bound at stochfp.diagnostics.resolve_oracle
+    # in every stochfp module that holds the same object, solvers and cli too
+    assert (stochfp.diagnostics.resolve_oracle is stochfp.core.resolve_oracle
+            is stochfp.resolve_oracle)

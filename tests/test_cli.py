@@ -168,6 +168,8 @@ def test_overrides_take_effect(tmp_path):
                  "b = 2.5", id="batch_b_not_whole"),
     pytest.param("name = halpern", "name = stoch_halpern\n[batch]\nkind = nosuch\nb = 4",
                  id="batch_unknown_kind"),
+    pytest.param("name = halpern", "name = halpern\n[batch]\nkind = constant\nb = 1",
+                 id="deterministic_with_batch"),
 ])
 def test_config_errors_exit_1(request, tmp_path, capsys, mutation, fragment):
     # both commands refuse every config error before any work, with exit 1;
@@ -177,7 +179,8 @@ def test_config_errors_exit_1(request, tmp_path, capsys, mutation, fragment):
     cited = {"delta_nan": "kind = exponential",
              "eta_nan": "kind = quadratic",
              "poly_step_stray_c": "c = 0.3",
-             "batch_b_not_whole": "b = 2.5"}.get(request.node.callspec.id)
+             "batch_b_not_whole": "b = 2.5",
+             "deterministic_with_batch": "name = halpern"}.get(request.node.callspec.id)
     for command in (cli.run_experiment, cli.validate_only):
         assert command(cfg) == 1
         err = capsys.readouterr().err

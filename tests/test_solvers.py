@@ -173,6 +173,15 @@ def test_stochastic_requires_batch():
                      iterations=10, seed=0)
 
 
+@pytest.mark.parametrize("method", ["km", "halpern"])
+def test_deterministic_method_refuses_batch(method):
+    # the exact mean would run while the summary described the batch schedule
+    with pytest.raises(FieldError) as err:
+        SolverConfig(method=method, step=StepSchedule.constant(0.5),
+                     batch=BatchSchedule.constant(1), iterations=10, seed=0)
+    assert err.value.field == "batch"
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_divergence_aborts_with_seed():
     # an expanding affine map (not nonexpansive) blows up under km steps
