@@ -146,8 +146,8 @@ def ensemble(problem: Problem, cfg: SolverConfig, trials: int) -> EnsembleStats:
     iterate aborts the ensemble with the master seed and the lowest-numbered
     trial that left the finite range, at the earliest such iteration.
     """
-    if trials < 2:
-        raise ValueError("ensembles need at least two trials")
+    if not (isinstance(trials, (int, np.integer)) and trials >= 2):
+        raise ValueError(f"ensembles need an integer trials >= 2, got {trials!r}")
 
     trace = _run_trials(problem, cfg, trials)
     x_star = None

@@ -53,6 +53,10 @@ def _is_index(value, bound: int) -> bool:
 
 def iteration_rng(seed: int, k: int) -> np.random.Generator:
     """Generator for iteration ``k`` of the stream ``seed``: Philox at counter ``(0, k, 0, 0)``."""
+    if not _is_index(seed, 2**128):
+        raise ValueError(f"seed must be an integer in [0, 2**128), got {seed!r}")
+    if not _is_index(k, 2**64):
+        raise ValueError(f"iteration k must be an integer in [0, 2**64), got {k!r}")
     return np.random.Generator(np.random.Philox(key=seed, counter=(0, k, 0, 0)))
 
 
@@ -195,13 +199,12 @@ def sample_batch(seed: int, k: int, n: int, b: int) -> BatchDraw:
     solver run on master seed ``seed`` uses at iteration ``k``.  Distinct
     iterations or distinct seeds give independent draws.  ``n`` must lie in
     ``[1, 2**32]``; the uniform probability vector is built only for
-    ``b >= n``.
+    ``b >= n``.  ``b`` must be a positive integer, ``seed`` and ``k`` as in :func:`iteration_rng`.
     """
-    if b < 1:
-        raise ValueError("b must be >= 1")
+    if not (isinstance(b, (int, np.integer)) and b >= 1):
+        raise ValueError(f"b must be an integer >= 1, got b = {b!r}")
+    b = int(b)  # the draw's reshape refuses a bool b
     n = _check_n(n)
-    if not _is_index(seed, 2**128):
-        raise ValueError(f"seed must be an integer in [0, 2**128), got {seed!r}")
     if not _is_index(k, 2**64):
         raise ValueError(f"iteration k must be an integer in [0, 2**64), got {k!r}")
     row = BatchStream(seed, n).draw(k, [b], 1)[0][0]

@@ -49,9 +49,12 @@ def test_oracle_feasibility_empty_intersection():
         ProjectionFamily(halfspaces).nearest_fixed_point([0.0, 0.0])
 
 
-@pytest.mark.parametrize("n", [10, 1000, 2000])
-def test_oracle_feasibility_satisfies_kkt(n):
-    problem = random_halfspace_problem(n, 20, 7)
+# (500, 50, 3) ends with 43 active halfspaces, the largest active set the suite factors
+@pytest.mark.parametrize("n, dim, gen_seed", [(10, 20, 7), (1000, 20, 7), (2000, 20, 7),
+                                              (500, 50, 3)],
+                         ids=["10", "1000", "2000", "500-50-3"])
+def test_oracle_feasibility_satisfies_kkt(n, dim, gen_seed):
+    problem = random_halfspace_problem(n, dim, gen_seed)
     res = problem.family.nearest_fixed_point(problem.x0)
     A = np.stack([h.normal for h in problem.oracle_info.data])
     beta = np.array([h.offset for h in problem.oracle_info.data])
@@ -336,6 +339,14 @@ def test_ensemble_requires_two_trials(twohalf_problem):
                        iterations=10, seed=0)
     with pytest.raises(ValueError):
         ensemble(twohalf_problem, cfg, trials=1)
+
+
+@pytest.mark.parametrize("trials", [2.5, np.float64(3)])
+def test_ensemble_refuses_a_non_integer_trial_count(twohalf_problem, trials):
+    cfg = SolverConfig(method="halpern", step=StepSchedule.poly(0.5),
+                       iterations=10, seed=0)
+    with pytest.raises(ValueError, match="integer trials"):
+        ensemble(twohalf_problem, cfg, trials)
 
 
 def test_batch_image_dist_bounded(bench_exp_stats, twohalf_problem):

@@ -178,6 +178,9 @@ def test_numpy_integer_sizes_draw_as_python_ints():
                                       sample_batch(0, 3, n, b).indices)
     np.testing.assert_array_equal(BatchStream(1, np.int64(2000)).draw(4, [3], 2)[0],
                                   BatchStream(1, 2000).draw(4, [3], 2)[0])
+    # a bool b draws as the int it equals
+    np.testing.assert_array_equal(sample_batch(0, 3, 10, True).indices,
+                                  sample_batch(0, 3, 10, 1).indices)
 
 
 @pytest.mark.parametrize("make", [lambda n: sample_batch(0, 0, n, 4), lambda n: BatchStream(0, n)])
@@ -200,6 +203,21 @@ def test_sample_batch_rejects_a_key_or_counter_philox_cannot_hold(seed, k, field
     # too large k overflows the counter word
     with pytest.raises(ValueError, match=field):
         sample_batch(seed, k, 3, 2)
+
+
+@pytest.mark.parametrize("seed, k, field", [(1.5, 0, "seed"), (-1, 0, "seed"), (2**128, 0, "seed"),
+                                             (0, -1, "iteration"), (0, 2**64, "iteration"),
+                                             (0, 1.7, "iteration")])
+def test_iteration_rng_rejects_a_key_or_counter_philox_cannot_hold(seed, k, field):
+    # Philox would truncate a float and wrap a negative counter to 2**64 - 1
+    with pytest.raises(ValueError, match=field):
+        iteration_rng(seed, k)
+
+
+@pytest.mark.parametrize("b", [2.5, np.float64(3), "4"])
+def test_sample_batch_rejects_a_non_integer_batch_size(b):
+    with pytest.raises(ValueError, match="b must be an integer"):
+        sample_batch(0, 0, 10, b)
 
 
 def test_draw_validates_indices():
