@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from .core import OracleInfo, Problem
@@ -14,11 +16,31 @@ __all__ = [
 ]
 
 
-def _halfspace_problem(halfspaces, x0, name: str) -> Problem:
-    """The projection family of ``halfspaces`` with its oracle opt-in."""
-    halfspaces = tuple(halfspaces)
-    return Problem(family=ProjectionFamily(halfspaces), x0=x0,
-                   oracle_info=OracleInfo(halfspaces), name=name)
+class _HalfspaceRows(Sequence):
+    """The rows of a projection family as :class:`Halfspace` values, each made
+    only when it is read, over the family's own arrays.
+
+    It is the ``OracleInfo.data`` of a halfspace problem, read only by the
+    tests and by the reference point ``perfbench/workloads.py`` computes
+    without the package; the run path never reads it.  It goes once
+    perfbench reads the family's arrays (ROADMAP, item 6).
+    """
+
+    def __init__(self, family: ProjectionFamily):
+        self._family = family
+
+    def __len__(self) -> int:
+        return self._family.n
+
+    def __getitem__(self, i: int) -> Halfspace:
+        i = range(self._family.n)[i]  # negative from the end, IndexError past it
+        return Halfspace(normal=self._family._A[i].copy(), offset=self._family._beta[i])
+
+
+def _halfspace_problem(family: ProjectionFamily, x0, name: str) -> Problem:
+    """The projection family with its oracle opt-in."""
+    return Problem(family=family, x0=x0, oracle_info=OracleInfo(_HalfspaceRows(family)),
+                   name=name)
 
 
 def two_halfspace_problem() -> Problem:
@@ -31,11 +53,8 @@ def two_halfspace_problem() -> Problem:
     noise floor.
     """
     s = np.sqrt(0.5)
-    halfspaces = (
-        Halfspace(normal=np.array([1.0, 0.0]), offset=0.0),
-        Halfspace(normal=np.array([s, s]), offset=0.0),
-    )
-    return _halfspace_problem(halfspaces, np.array([1.0, 0.0]), "two_halfspace")
+    family = ProjectionFamily.from_arrays([[1.0, 0.0], [s, s]], [0.0, 0.0])
+    return _halfspace_problem(family, np.array([1.0, 0.0]), "two_halfspace")
 
 
 def random_halfspace_problem(n: int, dim: int, gen_seed: int,
@@ -44,16 +63,21 @@ def random_halfspace_problem(n: int, dim: int, gen_seed: int,
 
     Normals are unit Gaussian directions; offsets are drawn from
     ``U[0.2, 1.0]`` so the origin lies strictly inside every halfspace.  The
-    anchor is ``anchor_scale * (1, ..., 1)``, generally infeasible.
+    anchor is ``anchor_scale * (1, ..., 1)``, generally infeasible.  Each
+    row draws its normal and then its offset, the order that fixes every
+    instance, and the rows are normalised in one pass: the stacked products
+    ``a @ a`` equal the per-row dot products of ``np.linalg.norm`` bit for
+    bit, where a row-wise ``einsum`` differs in the last bit.
     """
     rng = np.random.default_rng(gen_seed)
-    halfspaces = []
-    for _ in range(n):
-        a = rng.standard_normal(dim)
-        a /= np.linalg.norm(a)
-        halfspaces.append(Halfspace(normal=a, offset=float(rng.uniform(0.2, 1.0))))
-    return _halfspace_problem(halfspaces, np.full(dim, float(anchor_scale)),
-                              f"halfspaces_n{n}_d{dim}")
+    A = np.empty((n, dim))
+    beta = np.empty(n)
+    for i in range(n):
+        rng.standard_normal(out=A[i])
+        beta[i] = rng.uniform(0.2, 1.0)
+    A /= np.sqrt((A[:, None, :] @ A[:, :, None])[:, 0])
+    return _halfspace_problem(ProjectionFamily.from_arrays(A, beta),
+                              np.full(dim, float(anchor_scale)), f"halfspaces_n{n}_d{dim}")
 
 
 def random_quadratic_problem(n: int, dim: int, gen_seed: int,

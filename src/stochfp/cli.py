@@ -29,7 +29,7 @@ from .core import DivergenceError, OracleError, Problem, resolve_oracle
 from .diagnostics import (averaged_rate_bound, default_probes, ensemble,
                           estimate_sigma_sq, fit_rate, predicted_rate_exponent,
                           theorem_constants)
-from .mappings import Halfspace
+from .mappings import Halfspace, ProjectionFamily
 from .schedules import BatchSchedule, StepSchedule, validate
 from .solvers import FieldError, SolverConfig
 
@@ -178,8 +178,8 @@ def _build_problem(sec: _Section) -> Problem:
                     halfspaces.append(_halfspace(text))
                 except (TypeError, ValueError) as exc:
                     raise ConfigError(f"{sec.path}:{lineno}: bad halfspace: {exc}") from exc
-            problem = _halfspace_problem(halfspaces, sec.get("x0", _vector, required=True),
-                                         "halfspaces")
+            problem = _halfspace_problem(ProjectionFamily(halfspaces),
+                                         sec.get("x0", _vector, required=True), "halfspaces")
         elif kind == "random_halfspaces":
             problem = random_halfspace_problem(
                 sec.get("n", int, required=True), sec.get("dim", int, required=True),

@@ -136,7 +136,8 @@ class MappingFamily:
         return self._n
 
     def eval_all(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate every component at ``x``; returns an ``(n, d)`` array."""
+        """Evaluate every component at ``x``; returns a new ``(n, d)`` array
+        that the caller owns and may overwrite."""
         raise NotImplementedError
 
     def component(self, i: int, x) -> np.ndarray:
@@ -228,11 +229,11 @@ class CallableFamily(MappingFamily):
 class OracleInfo:
     """A problem's opt-in to the oracle, which asks the family itself.
 
-    ``data`` keeps the halfspaces or terms the family was built from, for a
-    reference point computed without the package.
+    ``data`` is a read-only sequence of the family's halfspaces or terms,
+    for a reference point computed without the package.
     """
 
-    data: tuple
+    data: Sequence
 
 
 @dataclass(frozen=True)

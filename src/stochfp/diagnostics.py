@@ -43,8 +43,8 @@ def estimate_sigma_sq(family, probe_points) -> float:
     for p in probes:
         x = as_point(p, dim=family.dim, name="probe")
         values = family.eval_all(x)
-        centered = values - values.sum(axis=0) / family.n
-        worst = max(worst, float(np.einsum("ij,ij->", centered, centered)) / family.n)
+        values -= values.sum(axis=0) / family.n
+        worst = max(worst, float(np.einsum("ij,ij->", values, values)) / family.n)
     return worst
 
 

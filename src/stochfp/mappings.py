@@ -123,15 +123,48 @@ class ProjectionFamily(MappingFamily):
         for h in halfspaces:
             if h.dim != dim:
                 raise ValueError("halfspaces have mixed dimensions")
-        super().__init__(dim=dim, n=len(halfspaces))
-        self._A = np.stack([h.normal for h in halfspaces])
-        self._beta = np.array([h.offset for h in halfspaces])
-        self._inv_norm_sq = 1.0 / np.einsum("ij,ij->i", self._A, self._A)
+        self._setup(np.stack([h.normal for h in halfspaces]),
+                    np.array([h.offset for h in halfspaces]))
+
+    @classmethod
+    def from_arrays(cls, A, beta) -> ProjectionFamily:
+        """The family of the halfspaces ``{x : A[i] @ x <= beta[i]}``, built
+        without a :class:`Halfspace` per row.
+
+        ``A`` is ``(n, d)`` with ``n, d >= 1`` and ``beta`` is ``(n,)``; every
+        entry must be finite and no row of ``A`` zero.  The family keeps
+        float64 copies of both, checked once as whole arrays.
+        """
+        family = cls.__new__(cls)
+        family._setup(A, beta)
+        return family
+
+    def _setup(self, A, beta) -> None:
+        """The one validation and storage path of both constructors."""
+        A = np.array(A, dtype=np.float64)
+        beta = np.array(beta, dtype=np.float64)
+        if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
+            raise ValueError(f"A must be an (n, d) array with n, d >= 1, got shape {A.shape}")
+        if beta.shape != A.shape[:1]:
+            raise ValueError(f"beta must have shape ({A.shape[0]},), got {beta.shape}")
+        if not np.all(np.isfinite(A)):
+            raise ValueError("normal contains non-finite coordinates")
+        if not np.all(np.isfinite(beta)):
+            raise ValueError("halfspace offset must be finite, "
+                             f"got {beta[~np.isfinite(beta)][0]}")
+        norm_sq = np.einsum("ij,ij->i", A, A)
+        if not np.all(norm_sq > 0.0):
+            raise ValueError("halfspace normal must be nonzero")
+        super().__init__(dim=A.shape[1], n=A.shape[0])
+        self._A = A
+        self._beta = beta
+        self._inv_norm_sq = 1.0 / norm_sq
 
     def eval_all(self, x: np.ndarray) -> np.ndarray:
         viol = self._A @ x - self._beta
         coef = np.maximum(viol, 0.0) * self._inv_norm_sq
-        return x[None, :] - coef[:, None] * self._A
+        values = coef[:, None] * self._A
+        return np.subtract(x[None, :], values, out=values)
 
     def weighted_mean(self, X: np.ndarray, W: np.ndarray) -> np.ndarray:
         # (1 - sum_i w_i) x + sum_i w_i (x - c_i a_i) = x - (w * c) @ A,

@@ -30,7 +30,6 @@ rule, for a block of iterations at a time; the solvers call it, and
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -67,12 +66,12 @@ _LOW = 0xFFFFFFFF
 
 
 def _check_n(n: int) -> int:
-    """``n`` as a Python int, refused outside ``[1, 2**32]``, the domain of the index rule."""
-    n = operator.index(n)
-    if not 1 <= n <= _MAX_N:
-        raise ValueError("n must lie in [1, 2**32], the domain of the 32-bit index rule, "
-                         f"got n = {n}")
-    return n
+    """``n`` as a Python int, refused unless an integer in ``[1, 2**32]``, the
+    domain of the index rule."""
+    if not (isinstance(n, (int, np.integer)) and 1 <= n <= _MAX_N):
+        raise ValueError("n must be an integer in [1, 2**32], the domain of the 32-bit "
+                         f"index rule, got n = {n!r}")
+    return int(n)
 
 
 def _lemire(words: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -37,6 +37,7 @@ SEED_LEMMA = 20_240_603
 SEED_QUAD = 20_240_604
 SEED_CLOSEST_KM = 20_240_605
 SEED_CLOSEST_HALPERN = 20_240_606
+SEED_BUDGET = 20_240_607
 
 QUAD_N, QUAD_D, QUAD_GEN_SEED = 50, 10, 3
 QUAD_BATCH = BatchSchedule.exponential(256, 1.05, cap=2**16)

@@ -49,6 +49,18 @@ def test_reference_for_generated_workload(name, tmp_path):
     _assert_finite_reference(workloads.reference_for(workloads.read_config(path)["problem"]))
 
 
+@pytest.mark.parametrize("make", [stochfp.two_halfspace_problem,
+                                  lambda: stochfp.random_halfspace_problem(50, 4, 1)],
+                         ids=["two_halfspace", "random_halfspaces"])
+def test_halfspace_rows_stack_to_the_family_arrays(make):
+    # reference_for stacks these rows into its own (A, beta)
+    problem = make()
+    rows = problem.oracle_info.data
+    assert len(rows) == problem.family.n
+    assert np.stack([h.normal for h in rows]).tobytes() == problem.family._A.tobytes()
+    assert np.array([h.offset for h in rows]).tobytes() == problem.family._beta.tobytes()
+
+
 def test_cli_main_takes_argv():
     assert list(inspect.signature(stochfp.cli.main).parameters) == ["argv"]
 

@@ -3,8 +3,8 @@ import pytest
 
 from stochfp import (AveragedFamily, GradientFamily, Halfspace,
                      NonexpansivityError, ProjectionFamily, QuadraticTerm,
-                     project_halfspace, random_quadratic_problem, resolve_oracle,
-                     two_halfspace_problem)
+                     project_halfspace, random_halfspace_problem,
+                     random_quadratic_problem, resolve_oracle, two_halfspace_problem)
 
 
 def test_halfspace_rejects_zero_normal():
@@ -80,6 +80,58 @@ def test_projection_family_rejects_bad_input():
             Halfspace(normal=np.array([1.0]), offset=0.0),
             Halfspace(normal=np.array([1.0, 0.0]), offset=0.0),
         ])
+
+
+@pytest.mark.parametrize("A, beta", [
+    ([[1.0, np.nan]], [0.0]),
+    ([[1.0, np.inf]], [0.0]),
+    ([[1.0, 0.0]], [np.nan]),
+    ([[1.0, 0.0]], [-np.inf]),
+    ([[1.0, 0.0], [0.0, 0.0]], [0.0, 1.0]),
+    ([1.0, 0.0], [0.0]),
+    ([[1.0, 0.0], [0.0, 1.0]], [0.0]),
+    (np.empty((0, 2)), np.empty(0)),
+], ids=["nan-A", "inf-A", "nan-beta", "inf-beta", "zero-row", "1d-A",
+        "beta-length", "n0"])
+def test_from_arrays_rejects_bad_input(A, beta):
+    with pytest.raises(ValueError):
+        ProjectionFamily.from_arrays(A, beta)
+
+
+def test_from_arrays_keeps_private_copies():
+    A, beta = np.array([[1.0, 0.0], [1.0, 1.0]]), np.array([0.0, 1.0])
+    fam = ProjectionFamily.from_arrays(A, beta)
+    A[0, 0], beta[0] = 5.0, 5.0
+    np.testing.assert_array_equal(fam.mean([2.0, 0.0]), [0.75, -0.25])
+
+
+def _reference_halfspace_arrays(n, dim, gen_seed):
+    # the per-row construction random_halfspace_problem replaced
+    rng = np.random.default_rng(gen_seed)
+    normals, offsets = [], []
+    for _ in range(n):
+        a = rng.standard_normal(dim)
+        a /= np.linalg.norm(a)
+        normals.append(a)
+        offsets.append(float(rng.uniform(0.2, 1.0)))
+    return np.stack(normals), np.array(offsets)
+
+
+@pytest.mark.parametrize("n, dim, gen_seed", [(10, 20, 7), (2000, 20, 7), (500, 50, 3)])
+def test_random_halfspaces_equal_the_per_row_construction(n, dim, gen_seed):
+    family = random_halfspace_problem(n, dim, gen_seed).family
+    A, beta = _reference_halfspace_arrays(n, dim, gen_seed)
+    assert family._A.tobytes() == A.tobytes()
+    assert family._beta.tobytes() == beta.tobytes()
+
+
+def test_random_halfspace_problem_makes_no_halfspace(monkeypatch):
+    calls = []
+    post_init = Halfspace.__post_init__
+    monkeypatch.setattr(Halfspace, "__post_init__",
+                        lambda self: (calls.append(1), post_init(self))[1])
+    random_halfspace_problem(2000, 20, 7)
+    assert calls == []
 
 
 def test_gradient_family_single_term_full_step():

@@ -196,6 +196,13 @@ def test_no_components_is_refused(make):
         make(0)
 
 
+@pytest.mark.parametrize("n", [2.5, np.float64(3), "4"])
+@pytest.mark.parametrize("make", [lambda n: sample_batch(0, 0, n, 4), lambda n: BatchStream(0, n)])
+def test_a_non_integer_n_is_refused(make, n):
+    with pytest.raises(ValueError, match="n must be an integer"):
+        make(n)
+
+
 @pytest.mark.parametrize("seed, k, field", [(1.5, 0, "seed"), (1, -1, "iteration"),
                                              (1, 2**64, "iteration"), (1, 2.0, "iteration")])
 def test_sample_batch_rejects_a_key_or_counter_philox_cannot_hold(seed, k, field):
